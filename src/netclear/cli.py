@@ -512,10 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("NETCLEAR_THREADS")
-    if threads is not None:
-        # caps BLAS-style parallelism in the vectorized scans
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     try:
         sc = load_scenario(args.scenario)
         if args.box:

@@ -8,21 +8,34 @@ its demand at p.  Equivalently the surplus
 is zero.  Z is evaluated exactly: the inner min enumerates the globally
 feasible trade sets (assembled by compatibility search over per-firm
 feasible bundles), never a heuristic.
+
+``find_equilibria`` scans a price grid for Z <= t.  A firm's utility reads
+only some prices, so the test splits by firm: Z(p) <= t iff some feasible
+global set leaves every firm within t of its best bundle.  The scan
+evaluates each firm's regrets once on the sub-grid of the axes it reads
+and combines the per-firm boolean tables by broadcasting (OR over global
+sets of an AND over firms).  Grids beyond ``MAX_GRID_POINTS`` raise
+``GridTooLarge`` up front instead of scanning without end.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .demand import EPS_TIE, demand_set, indirect_utility
 from .errors import (
     AllInfeasible,
     EmptyBox,
     EmptySet,
+    GridTooLarge,
+    NonFiniteUtility,
     NotAnEquilibriumInput,
 )
 from .model import (
@@ -36,6 +49,8 @@ from .utility import FirmUtility, UtilityProfile
 
 EPS_EQ = 1e-7
 DEDUP_TOL = 1e-6
+# largest grid find_equilibria scans; about 33x the 12^6 grids of the tests
+MAX_GRID_POINTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -92,19 +107,31 @@ class _CompiledProfile:
             raise AllInfeasible("no globally feasible trade set")
         return out
 
+    @cached_property
+    def price_axes(self) -> dict[str, tuple[int, ...]]:
+        """Trade axes each firm's expressions read (any trade, not just its own)."""
+        index = self.network.index
+        return {f: tuple(sorted({index[t] for e in self.profile.firms[f].table.values()
+                                 for t in ex.price_refs(e)}))
+                for f in self.firms}
+
     def surplus_at(self, values: tuple[float, ...]) -> float:
         """Exact Z at one price tuple."""
         regrets = []
+        total = 0.0
         for f in self.firms:
             u = self.profile.firms[f]
             best = None
             table = {}
             for mask in u.feasible_masks():
                 v = u.value(mask, values)
+                total += v
                 table[mask] = v
                 if best is None or v > best:
                     best = v
             regrets.append((u.omega, {m: best - v for m, v in table.items()}))
+        if not math.isfinite(total):
+            raise NonFiniteUtility(f"a utility is not finite at prices {values}")
         z = None
         for g in self.feasible_globals:
             worst = 0.0
@@ -116,29 +143,53 @@ class _CompiledProfile:
                 z = worst
                 if z == 0.0:
                     break
-        assert z is not None and z >= -1e-12
-        return max(z, 0.0)
-
-    def surplus_grid(self, columns: list[np.ndarray]) -> np.ndarray:
-        """Vectorized Z over a batch of price points (one array per trade)."""
-        zeros = np.zeros_like(columns[0])
-        regrets = []
-        for f in self.firms:
-            u = self.profile.firms[f]
-            vals = {}
-            for m in u.feasible_masks():
-                # constants compile to scalars; broadcast to the batch shape
-                vals[m] = np.asarray(u.vector_fn(m)(columns), dtype=float) + zeros
-            best = np.maximum.reduce(list(vals.values()))
-            regrets.append((u.omega, {m: best - v for m, v in vals.items()}))
-        z = None
-        for g in self.feasible_globals:
-            worst = None
-            for omega, reg in regrets:
-                r = reg[g & omega]
-                worst = r if worst is None else np.maximum(worst, r)
-            z = worst if z is None else np.minimum(z, worst)
         return z
+
+    def _firm_ok(self, f: str, columns: list[np.ndarray],
+                 threshold: float) -> dict[int, np.ndarray]:
+        """Per bundle of firm f: is its regret at most threshold?
+
+        The result broadcasts over the block but only spans the axes f
+        reads.  A NaN anywhere in f's values makes every entry False there.
+        """
+        u = self.profile.firms[f]
+        masks = u.feasible_masks()
+        vals = [np.asarray(u.vector_fn(m)(columns), dtype=float) for m in masks]
+        best = reduce(np.maximum, vals)
+        return {m: best - v <= threshold for m, v in zip(masks, vals)}
+
+    def scan_hits(self, axis: np.ndarray, threshold: float,
+                  batch: int) -> list[tuple[float, ...]]:
+        """Points of the grid axis^n where Z <= threshold, in row-major order.
+
+        The grid is cut into blocks of at most ``batch`` points: a run of
+        rows on one axis, every later axis whole, every earlier axis fixed.
+        A firm's table is rebuilt only when the block moves along an axis
+        it reads.
+        """
+        n, levels = self.network.n, len(axis)
+        lead = next(d for d in range(n) if levels ** (n - 1 - d) <= batch)
+        rows = min(levels, max(1, batch // levels ** (n - 1 - lead)))
+        omegas = {f: self.profile.firms[f].omega for f in self.firms}
+        tables: dict[str, tuple[tuple, dict[int, np.ndarray]]] = {}
+        hits: list[tuple[float, ...]] = []
+        for prefix in itertools.product(range(levels), repeat=lead):
+            for a in range(0, levels, rows):
+                block = [slice(i, i + 1) for i in prefix] + [slice(a, a + rows)] \
+                    + [slice(None)] * (n - 1 - lead)
+                columns = [axis[s].reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
+                           for d, s in enumerate(block)]
+                for f in self.firms:
+                    key = tuple(block[d].start for d in self.price_axes[f])
+                    if f not in tables or tables[f][0] != key:
+                        tables[f] = (key, self._firm_ok(f, columns, threshold))
+                hit = np.zeros([c.size for c in columns], dtype=bool)
+                for g in self.feasible_globals:
+                    hit |= reduce(np.logical_and,
+                                  (tables[f][1][g & omegas[f]] for f in self.firms))
+                idx = np.argwhere(hit) + [s.start or 0 for s in block]
+                hits.extend(map(tuple, axis[idx].tolist()))
+        return hits
 
 
 def surplus(u: UtilityProfile, p: PriceVector, eps_tie: float = EPS_TIE) -> float:
@@ -204,17 +255,29 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
                     batch: int = 1 << 17) -> list[EquilibriumRecord]:
     """Grid-scan Z over the box, refine near-zero points, verify survivors.
 
+    The scan keeps the grid points where Z <= ``trigger``, in row-major
+    order.  It is factored by firm (see the module docstring): each firm's
+    regret test is evaluated once on the sub-grid of the prices it reads,
+    and the per-firm tables are combined by boolean broadcasts in blocks
+    of at most ``batch`` points.  A grid of more than ``MAX_GRID_POINTS``
+    points raises ``GridTooLarge`` before anything is allocated.
+
     Completeness is relative to the grid: connected equilibrium continua come
     back as the grid points (plus descent refinements) that hit them, after
     deduplication at infinity-distance 1e-6.
     """
     lo, hi = box
-    if not (hi > lo and step > 0):
+    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
         raise EmptyBox(f"bad box {box} / step {step}")
     n = u.network.n
     if n == 0:
         p0 = PriceVector(u.network, ())
         return [EquilibriumRecord(p0, (0,), {}, 0.0)]
+    points = math.ceil((hi + step / 2 - lo) / step) ** n
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"{points} grid points exceed the scan cap of {MAX_GRID_POINTS}",
+            points)
     if refine is True:
         refine = DescentConfig(initial_step=step / 2)
     elif refine is False:
@@ -223,22 +286,7 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
         trigger = step / 2 if refine is not None else eps_eq
     cp = _CompiledProfile(u)
     axis = np.round(np.arange(lo, hi + step / 2, step), 12)
-    candidates: list[tuple[float, ...]] = []
-    total = len(axis) ** n
-    per_batch = max(1, batch)
-    # enumerate grid points in row-major order, in batches
-    shape = (len(axis),) * n
-    for start in range(0, total, per_batch):
-        stop = min(start + per_batch, total)
-        idx = np.arange(start, stop)
-        cols = []
-        for d in range(n):
-            stride = len(axis) ** (n - 1 - d)
-            cols.append(axis[(idx // stride) % len(axis)])
-        z = cp.surplus_grid(cols)
-        hits = np.nonzero(z <= trigger + 1e-15)[0]
-        for h in hits:
-            candidates.append(tuple(float(c[h]) for c in cols))
+    candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
     # refine and validate
     found: list[tuple[tuple[float, ...], float]] = []
     for cand in candidates:

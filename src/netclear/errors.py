@@ -102,6 +102,23 @@ class NotTerminalBuyers(NetclearError):
     pass
 
 
+class GridTooLarge(NetclearError):
+    """A grid scan would visit more points than the scan cap allows.
+    Carries the point count."""
+
+    def __init__(self, message, points):
+        super().__init__(message)
+        self.points = points
+
+
+class NonFiniteUtility(NetclearError):
+    """A utility evaluated to NaN or an infinity, so Z is undefined."""
+
+
+class InfeasibleAllocation(NetclearError):
+    """An allocation gives a firm a bundle outside its utility table."""
+
+
 # -- adapters ----------------------------------------------------------------
 
 class NotInducedNetwork(NetclearError):

@@ -15,9 +15,15 @@ from .equilibrium import (
     extremal_equilibria,
     find_equilibria,
 )
-from .errors import NoEquilibriumFound, NotTerminalBuyers
+from .errors import InfeasibleAllocation, NoEquilibriumFound, NotTerminalBuyers
 from .model import PriceVector, terminal_roles
-from .utility import FirmUtility, UtilityProfile, is_unit_demand, truncate_at_outside
+from .utility import (
+    INFEASIBLE,
+    FirmUtility,
+    UtilityProfile,
+    is_unit_demand,
+    truncate_at_outside,
+)
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,10 @@ def buyer_optimal_mechanism(u: UtilityProfile,
 
 def _utility_of(fu: FirmUtility, global_bundle: int, p: PriceVector) -> float:
     v = fu.value(global_bundle & fu.omega, p.values)
-    from .utility import INFEASIBLE
-    assert v is not INFEASIBLE, "mechanism allocation infeasible for a firm"
+    if v is INFEASIBLE:
+        raise InfeasibleAllocation(
+            f"allocation {fu.network.ids_of(global_bundle & fu.omega)} is "
+            f"infeasible for firm {fu.firm}")
     return v
 
 

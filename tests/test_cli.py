@@ -153,15 +153,6 @@ def test_box_and_step_overrides(capsys):
     assert "step 0.5" in out
 
 
-def test_threads_env_honored(capsys, monkeypatch):
-    monkeypatch.setenv("NETCLEAR_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    code = main(["solve", scenario("kinked-pair.json")])
-    capsys.readouterr()
-    assert code == 0
-    assert os.environ.get("OMP_NUM_THREADS") == "1"
-
-
 def test_mechanism_command(capsys):
     code = main(["mechanism", scenario("matching-small.json")])
     out = capsys.readouterr().out

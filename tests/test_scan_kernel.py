@@ -1,0 +1,199 @@
+"""Oracle tests for the firm-factored grid scan behind find_equilibria.
+
+The vectorized scan must return exactly the grid points, in row-major
+order, where the scalar exact surplus is within the trigger, whatever the
+block size.
+"""
+
+import itertools
+import json
+import os
+import random
+import time
+
+import numpy as np
+import pytest
+
+from netclear import expr as ex
+from netclear.cli import load_scenario, main
+from netclear.equilibrium import (
+    EPS_EQ,
+    MAX_GRID_POINTS,
+    _CompiledProfile,
+    find_equilibria,
+    surplus,
+)
+from netclear.errors import GridTooLarge, InfeasibleAllocation, NonFiniteUtility
+from netclear.instances import assignment_market
+from netclear.mechanisms import _utility_of
+from netclear.model import PriceVector, build_network
+from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def grid(box, step):
+    lo, hi = box
+    return np.round(np.arange(lo, hi + step / 2, step), 12)
+
+
+def scalar_hits(cp, axis, threshold):
+    return [p for p in itertools.product(axis.tolist(), repeat=cp.network.n)
+            if cp.surplus_at(p) <= threshold]
+
+
+def assert_matches_oracle(profile, axis, trigger):
+    cp = _CompiledProfile(profile)
+    threshold = trigger + 1e-15
+    expected = scalar_hits(cp, axis, threshold)
+    levels, n = len(axis), profile.network.n
+    for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17):
+        assert cp.scan_hits(axis, threshold, batch) == expected, batch
+    return expected
+
+
+def table(network, firm, entries):
+    return FirmUtility(firm, network, {
+        network.mask_of(bundle): ex.parse_expr(text)
+        for bundle, text in entries.items()})
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)))
+def test_bundled_scenarios_match_scalar_oracle(name):
+    sc = load_scenario(os.path.join(SCENARIOS, name))
+    step = sc.analysis.step if sc.network.n <= 3 else 2 * sc.analysis.step
+    axis = grid(sc.analysis.box, step)
+    hits = assert_matches_oracle(sc.profile, axis, step / 2)
+    assert hits
+    assert_matches_oracle(sc.profile, axis, EPS_EQ)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_assignment_markets_match_scalar_oracle(seed):
+    rng = random.Random(seed)
+    sellers, buyers = rng.choice([(2, 2), (2, 3), (3, 2)])
+    values = {(i, j): rng.choice([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+              for i in range(sellers) for j in range(buyers)
+              if rng.random() < 0.85}
+    costs = {i: rng.choice([0.0, 0.5]) for i in range(sellers)}
+    u = assignment_market(sellers, buyers, values, costs)
+    axis = grid((0.0, 3.0), 0.5 if u.network.n <= 4 else 1.0)
+    assert_matches_oracle(u, axis, EPS_EQ)
+    assert_matches_oracle(u, axis, 0.25)
+
+
+def test_firm_reading_a_price_outside_its_trades():
+    net = build_network([("a", "s", "b"), ("c", "s2", "b2")])
+    u = UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): "p[a] - 1"}),
+        "s2": table(net, "s2", {(): "0", ("c",): "p[c] - 0.5"}),
+        "b": table(net, "b", {(): "0", ("a",): "3 - p[a] - p[c]"}),
+        "b2": table(net, "b2", {(): "0", ("c",): "2 - p[c]"}),
+    })
+    cp = _CompiledProfile(u)
+    assert cp.price_axes["b"] == (0, 1)
+    assert cp.price_axes["s"] == (0,)
+    axis = grid((0.0, 3.0), 0.25)
+    hits = assert_matches_oracle(u, axis, EPS_EQ)
+    # b buys a iff p[a] + p[c] <= 3, so the hits are not a product set
+    assert (2.0, 1.0) in hits and (1.0, 1.5) in hits
+    assert (2.0, 1.5) not in hits
+
+
+def test_constant_only_table():
+    net = build_network([("a", "s", "b")])
+    u = UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): "1"}),
+        "b": table(net, "b", {(): "0", ("a",): "2 - p[a]"}),
+    })
+    assert _CompiledProfile(u).price_axes["s"] == ()
+    hits = assert_matches_oracle(u, grid((0.0, 3.0), 0.25), EPS_EQ)
+    # s always sells (a constant 1 beats 0), b buys while p[a] <= 2
+    assert hits == [(p,) for p in grid((0.0, 2.0), 0.25).tolist()]
+
+
+def test_vectorized_nan_drops_the_point():
+    net = build_network([("x", "s", "b")])
+    u = UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("x",): "p[x]"}),
+        "b": table(net, "b", {(): "0", ("x",): "sqrt(p[x] - 1)"}),
+    })
+    cp = _CompiledProfile(u)
+    axis = grid((0.0, 3.0), 0.5)
+    with np.errstate(invalid="ignore"):
+        hits = [cp.scan_hits(axis, 0.25 + 1e-15, batch) for batch in (1, 3, 64)]
+    # the scalar path cannot evaluate sqrt below 1; above it, it decides
+    expected = [(p,) for p in axis.tolist()
+                if p >= 1 and cp.surplus_at((p,)) <= 0.25 + 1e-15]
+    assert hits == [expected] * 3
+    assert (0.5,) not in hits[0]
+    assert expected
+
+
+def test_find_equilibria_is_independent_of_batch():
+    sc = load_scenario(os.path.join(SCENARIOS, "three-supplier.json"))
+    base = find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step)
+    levels = len(grid(sc.analysis.box, sc.analysis.step))
+    for batch in (1, 7, levels ** 2 + 1):
+        assert find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step,
+                               batch=batch) == base
+
+
+# -- grid guard ----------------------------------------------------------------
+
+def four_by_four():
+    return assignment_market(4, 4, {(i, j): 1.0 + i + 0.5 * j
+                                    for i in range(4) for j in range(4)})
+
+
+def test_grid_guard_raises_before_scanning():
+    u = four_by_four()
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge) as err:
+        find_equilibria(u, (0.0, 4.0), 0.25)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.points == 17 ** 16 > MAX_GRID_POINTS
+
+
+def test_grid_guard_in_cli(tmp_path, capsys):
+    raw = {"version": 1, "kind": "network",
+           "trades": [{"id": f"t{i}{j}", "seller": f"s{i}", "buyer": f"b{j}"}
+                      for i in range(4) for j in range(4)],
+           "utilities": {}, "analysis": {"box": [0, 4], "step": 0.25}}
+    for i in range(4):
+        raw["utilities"][f"s{i}"] = [{"bundle": [], "expr": "0"}] + [
+            {"bundle": [f"t{i}{j}"], "expr": f"p[t{i}{j}]"} for j in range(4)]
+    for j in range(4):
+        raw["utilities"][f"b{j}"] = [{"bundle": [], "expr": "0"}] + [
+            {"bundle": [f"t{i}{j}"], "expr": f"{1.0 + i + 0.5 * j} - p[t{i}{j}]"}
+            for i in range(4)]
+    path = tmp_path / "four-by-four.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code = main(["solve", str(path)])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "grid points" in err
+    assert "Traceback" not in err
+
+
+# -- typed errors in place of asserts -------------------------------------------
+
+def test_utility_of_bundle_outside_table_is_typed():
+    net = build_network([("a", "s", "b")])
+    fu = make_quasilinear("b", net, {0: 0.0})
+    p = PriceVector(net, (1.0,))
+    assert _utility_of(fu, 0, p) == 0.0
+    with pytest.raises(InfeasibleAllocation):
+        _utility_of(fu, net.mask_of(["a"]), p)
+
+
+def test_non_finite_scalar_utility_is_typed():
+    net = build_network([("a", "s", "b")])
+    u = UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): "p[a]"}),
+        "b": table(net, "b", {(): "10^300 * 10^300 - p[a]", ("a",): "1 - p[a]"}),
+    })
+    with pytest.raises(NonFiniteUtility):
+        surplus(u, PriceVector(net, (0.5,)))
