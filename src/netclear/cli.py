@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -53,8 +54,8 @@ from .equilibrium import (
     EPS_EQ,
     extremal_equilibria,
     find_equilibria,
-    surplus,
-    verify_lattice_pair,
+    grid_surplus,
+    lattice_pairs,
     verify_rural_hospitals_pair,
 )
 from .errors import (
@@ -334,16 +335,9 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
         lines.append(f"  p={entry['prices']} supports={entry['supports']}")
     csv_rows = None
     if getattr(args, "csv", False):
+        points, z = grid_surplus(sc.profile, sc.analysis.box, sc.analysis.step)
         csv_rows = [["trade:" + t.id for t in sc.network.trades] + ["Z"]]
-        from .equilibrium import _CompiledProfile
-        cp = _CompiledProfile(sc.profile)
-        lo, hi = sc.analysis.box
-        axis = np.round(np.arange(lo, hi + sc.analysis.step / 2,
-                                  sc.analysis.step), 12)
-        import itertools
-        for point in itertools.product(axis, repeat=sc.network.n):
-            csv_rows.append(list(map(float, point))
-                            + [cp.surplus_at(tuple(map(float, point)))])
+        csv_rows += [row + [zr] for row, zr in zip(points.tolist(), z)]
     return RunResult(0, "\n".join(lines) + "\n", payload, csv_rows)
 
 
@@ -352,25 +346,24 @@ def cmd_lattice(sc: Scenario, args) -> RunResult:
     payload = {"pairs": []}
     violations = 0
     lines = []
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            rep = verify_lattice_pair(sc.profile, records[i], records[j],
-                                      sc.analysis.eps_eq, sc.analysis.eps_tie)
-            entry = {
-                "p": list(records[i].prices.values),
-                "p2": list(records[j].prices.values),
-                "join": list(rep.join_prices),
-                "meet": list(rep.meet_prices),
-                "join_equilibrium": rep.join_record is not None,
-                "meet_equilibrium": rep.meet_record is not None,
-            }
-            payload["pairs"].append(entry)
-            if not rep.ok:
-                violations += 1
-                lines.append(
-                    f"lattice failure: join {entry['join']} equilibrium: "
-                    f"{entry['join_equilibrium']}, meet {entry['meet']} "
-                    f"equilibrium: {entry['meet_equilibrium']}")
+    verdicts = lattice_pairs(sc.profile, records, sc.analysis.eps_eq,
+                             sc.analysis.eps_tie)
+    for (e, e2), (join, meet, join_eq, meet_eq) in zip(
+            itertools.combinations(records, 2), verdicts):
+        entry = {
+            "p": list(e.prices.values),
+            "p2": list(e2.prices.values),
+            "join": list(join),
+            "meet": list(meet),
+            "join_equilibrium": join_eq,
+            "meet_equilibrium": meet_eq,
+        }
+        payload["pairs"].append(entry)
+        if not (join_eq and meet_eq):
+            violations += 1
+            lines.append(
+                f"lattice failure: join {entry['join']} equilibrium: "
+                f"{join_eq}, meet {entry['meet']} equilibrium: {meet_eq}")
     head = (f"lattice check over {len(records)} equilibria: "
             f"{violations} failing pair(s)")
     return RunResult(0 if violations == 0 else 2,

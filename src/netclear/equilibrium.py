@@ -16,6 +16,15 @@ evaluates each firm's regrets once on the sub-grid of the axes it reads
 and combines the per-firm boolean tables by broadcasting (OR over global
 sets of an AND over firms).  Grids beyond ``MAX_GRID_POINTS`` raise
 ``GridTooLarge`` up front instead of scanning without end.
+
+Records are assembled in batches by one kernel,
+``_CompiledProfile.evaluate``: per firm a value matrix ``V_f[points,
+bundles]``, from which come Z, the supports (global sets whose every share
+is within the tie tolerance of the firm's best; these factor by firm
+because every trade belongs to some firm) and the indirect utilities.
+``find_equilibria``, ``is_equilibrium`` (a batch of one) and
+``extremal_equilibria`` go through it; the scalar ``surplus_at`` remains
+for coordinate descent and ``surplus``.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .demand import EPS_TIE, demand_set, indirect_utility
+from .demand import EPS_TIE
 from .errors import (
     AllInfeasible,
     EmptyBox,
@@ -51,6 +60,8 @@ EPS_EQ = 1e-7
 DEDUP_TOL = 1e-6
 # largest grid find_equilibria scans; about 33x the 12^6 grids of the tests
 MAX_GRID_POINTS = 10**8
+# default block size of the scan (points) and the record kernel (regret entries)
+BATCH = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -91,12 +102,14 @@ def _compatible_supports(network: TradeNetwork,
 
 
 class _CompiledProfile:
-    """Per-profile caches shared by surplus evaluation and grid scans."""
+    """Per-profile caches shared by surplus evaluation, grid scans and the
+    record kernel."""
 
     def __init__(self, profile: UtilityProfile):
         self.profile = profile
         self.network = profile.network
         self.firms = sorted(profile.firms)
+        self._net: dict[int, dict[str, int]] = {}
 
     @cached_property
     def feasible_globals(self) -> list[int]:
@@ -114,6 +127,20 @@ class _CompiledProfile:
         return {f: tuple(sorted({index[t] for e in self.profile.firms[f].table.values()
                                  for t in ex.price_refs(e)}))
                 for f in self.firms}
+
+    @cached_property
+    def value_tables(self) -> list[tuple[list, np.ndarray]]:
+        """Per firm: the vector closures of its feasible bundles, and the
+        column of each feasible global set's share of the firm."""
+        out = []
+        for f in self.firms:
+            u = self.profile.firms[f]
+            omega, masks = u.omega, u.feasible_masks()
+            column = {m: k for k, m in enumerate(masks)}
+            out.append(([u.vector_fn(m) for m in masks],
+                        np.array([column[g & omega] for g in self.feasible_globals],
+                                 dtype=np.intp)))
+        return out
 
     def surplus_at(self, values: tuple[float, ...]) -> float:
         """Exact Z at one price tuple."""
@@ -144,6 +171,61 @@ class _CompiledProfile:
                 if z == 0.0:
                     break
         return z
+
+    def evaluate(self, points, tie: float, batch: int = BATCH
+                 ) -> tuple[list[float], np.ndarray, np.ndarray]:
+        """Exact Z, supports and indirect utilities at each row of points.
+
+        Each firm's value matrix ``V_f[rows, bundles]`` is built once with
+        the vector closures.  With ``best_f`` its row max, ``z[r]`` is the
+        min over feasible global sets of the max over firms of ``best_f -
+        V_f`` at the firm's share; ``fit[r, g]`` says whether every share of
+        ``feasible_globals[g]`` is within ``tie`` of ``best_f`` (the global
+        set supports row r); ``best[r, k]`` is the indirect utility of
+        ``firms[k]``.  Rows go in blocks of at most ``batch`` regret
+        entries.  A non-finite value raises ``NonFiniteUtility``.
+        """
+        points = np.asarray(points, dtype=float)
+        points = points.reshape(len(points), self.network.n)
+        globals_ = len(self.feasible_globals)
+        rows = max(1, batch // globals_)
+        z = np.empty(len(points))
+        fit = np.empty((len(points), globals_), dtype=bool)
+        best = np.empty((len(points), len(self.firms)))
+        for a in range(0, len(points), rows):
+            block = points[a:a + rows]
+            columns = list(block.T)
+            worst = np.zeros((len(block), globals_))
+            ok = np.ones((len(block), globals_), dtype=bool)
+            for k, (fns, share) in enumerate(self.value_tables):
+                v = np.empty((len(block), len(fns)))
+                with np.errstate(all="ignore"):
+                    for j, fn in enumerate(fns):
+                        v[:, j] = fn(columns)
+                if not np.isfinite(v).all():
+                    bad = block[~np.isfinite(v).all(1)][0]
+                    raise NonFiniteUtility(
+                        f"a utility is not finite at prices {tuple(bad.tolist())}")
+                top = v.max(1)
+                best[a:a + rows, k] = top
+                np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
+                ok &= (v >= (top - tie)[:, None])[:, share]
+            z[a:a + rows] = worst.min(1)
+            fit[a:a + rows] = ok
+        return z.tolist(), fit, best
+
+    def record(self, p: PriceVector, fit: np.ndarray,
+               z: float) -> EquilibriumRecord | None:
+        """The record at p from its row of ``evaluate``; None without a support."""
+        supports = tuple(itertools.compress(self.feasible_globals, fit.tolist()))
+        if not supports:
+            return None
+        designated = supports[0]
+        net = self._net.get(designated)
+        if net is None:
+            net = self._net[designated] = {
+                f: net_index(self.network, f, designated) for f in self.firms}
+        return EquilibriumRecord(p, supports, dict(net), z)
 
     def _firm_ok(self, f: str, columns: list[np.ndarray],
                  threshold: float) -> dict[int, np.ndarray]:
@@ -199,19 +281,13 @@ def surplus(u: UtilityProfile, p: PriceVector, eps_tie: float = EPS_TIE) -> floa
 
 def is_equilibrium(u: UtilityProfile, p: PriceVector,
                    eps_eq: float = EPS_EQ,
-                   eps_tie: float = EPS_TIE,
-                   _cp: "_CompiledProfile | None" = None) -> EquilibriumRecord | None:
-    """Assemble the supporting trade sets at p; None when there are none."""
-    per_firm = {}
-    for f in sorted(u.firms):
-        per_firm[f] = demand_set(u.firms[f], p, eps_tie).bundles
-    supports = _compatible_supports(u.network, per_firm)
-    if not supports:
-        return None
-    designated = supports[0]
-    net = {f: net_index(u.network, f, designated) for f in sorted(u.firms)}
-    z = (_cp or _CompiledProfile(u)).surplus_at(p.values)
-    return EquilibriumRecord(p, tuple(supports), net, z)
+                   eps_tie: float = EPS_TIE) -> EquilibriumRecord | None:
+    """The record at p, or None when no global trade set gives every firm a
+    bundle within ``eps_tie`` of its best: a batch of one through
+    ``_CompiledProfile.evaluate``."""
+    cp = _CompiledProfile(u)
+    (z,), (fit,), _ = cp.evaluate([p.values], eps_tie)
+    return cp.record(p, fit, z)
 
 
 @dataclass(frozen=True)
@@ -246,13 +322,42 @@ def _coordinate_descent(cp: _CompiledProfile, start: tuple[float, ...],
     return tuple(x), z
 
 
+def grid_surplus(u: UtilityProfile, box: tuple[float, float], step: float,
+                 batch: int = BATCH) -> tuple[np.ndarray, list[float]]:
+    """Every point of the grid, in row-major order, and its exact Z from the
+    record kernel."""
+    n = u.network.n
+    axis = _grid_axis(box, step, n)
+    levels = len(axis)
+    points = axis[np.indices((levels,) * n).reshape(n, levels ** n).T]
+    z, _fit, _best = _CompiledProfile(u).evaluate(points, EPS_TIE, batch)
+    return points, z
+
+
+def _grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
+    """Grid levels on one axis of the box; raise before a too-large grid.
+
+    ``EmptyBox`` for a box or step that spans no finite grid,
+    ``GridTooLarge`` when ``levels ** n`` exceeds ``MAX_GRID_POINTS``.
+    """
+    lo, hi = box
+    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
+        raise EmptyBox(f"bad box {box} / step {step}")
+    points = math.ceil((hi + step / 2 - lo) / step) ** n
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"{points} grid points exceed the scan cap of {MAX_GRID_POINTS}",
+            points)
+    return np.round(np.arange(lo, hi + step / 2, step), 12)
+
+
 def find_equilibria(u: UtilityProfile, box: tuple[float, float],
                     step: float = 0.25,
                     refine: DescentConfig | None | bool = True,
                     eps_eq: float = EPS_EQ,
                     eps_tie: float = EPS_TIE,
                     trigger: float | None = None,
-                    batch: int = 1 << 17) -> list[EquilibriumRecord]:
+                    batch: int = BATCH) -> list[EquilibriumRecord]:
     """Grid-scan Z over the box, refine near-zero points, verify survivors.
 
     The scan keeps the grid points where Z <= ``trigger``, in row-major
@@ -262,22 +367,21 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     of at most ``batch`` points.  A grid of more than ``MAX_GRID_POINTS``
     points raises ``GridTooLarge`` before anything is allocated.
 
+    One call of the record kernel (``_CompiledProfile.evaluate``) gives
+    exact Z and the supports of every candidate; candidates with Z <=
+    ``eps_eq`` become records directly.  The rest start a coordinate
+    descent on scalar Z (when ``refine``), and the refined points that
+    survive deduplication go through one more kernel call.
+
     Completeness is relative to the grid: connected equilibrium continua come
     back as the grid points (plus descent refinements) that hit them, after
     deduplication at infinity-distance 1e-6.
     """
-    lo, hi = box
-    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
-        raise EmptyBox(f"bad box {box} / step {step}")
     n = u.network.n
+    axis = _grid_axis(box, step, n)
     if n == 0:
         p0 = PriceVector(u.network, ())
         return [EquilibriumRecord(p0, (0,), {}, 0.0)]
-    points = math.ceil((hi + step / 2 - lo) / step) ** n
-    if points > MAX_GRID_POINTS:
-        raise GridTooLarge(
-            f"{points} grid points exceed the scan cap of {MAX_GRID_POINTS}",
-            points)
     if refine is True:
         refine = DescentConfig(initial_step=step / 2)
     elif refine is False:
@@ -285,33 +389,35 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     if trigger is None:
         trigger = step / 2 if refine is not None else eps_eq
     cp = _CompiledProfile(u)
-    axis = np.round(np.arange(lo, hi + step / 2, step), 12)
     candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
-    # refine and validate
-    found: list[tuple[tuple[float, ...], float]] = []
-    for cand in candidates:
-        z = cp.surplus_at(cand)
-        if z <= eps_eq:
-            found.append((cand, z))
+    support_tie = max(eps_tie, 10 * eps_eq)
+    z, fit, _ = cp.evaluate(candidates, support_tie, batch)
+    # (point, its row in the kernel output, or None once refined)
+    found: list[tuple[tuple[float, ...], int | None]] = []
+    for i, cand in enumerate(candidates):
+        if z[i] <= eps_eq:
+            found.append((cand, i))
         elif refine is not None:
             refined, zr = _coordinate_descent(cp, cand, refine, eps_eq)
             if zr <= eps_eq:
-                found.append((refined, zr))
+                found.append((refined, None))
     # dedupe at infinity distance; raw grid points are already distinct
     if refine is None and step > 2 * DEDUP_TOL:
-        kept = [point for point, _z in found]
+        kept = found
     else:
         kept = []
-        for point, z in found:
-            if any(max(abs(a - b) for a, b in zip(point, q)) <= DEDUP_TOL
-                   for q in kept):
+        seen = np.empty((len(found), n))
+        for point, row in found:
+            if kept and (np.abs(seen[:len(kept)] - point).max(1) <= DEDUP_TOL).any():
                 continue
-            kept.append(point)
+            seen[len(kept)] = point
+            kept.append((point, row))
+    fresh = [point for point, row in kept if row is None]
+    refined_rows = zip(*cp.evaluate(fresh, support_tie, batch)[:2])
     records = []
-    support_tie = max(eps_tie, 10 * eps_eq)
-    for point in kept:
-        rec = is_equilibrium(u, PriceVector(u.network, point),
-                             eps_eq=eps_eq, eps_tie=support_tie, _cp=cp)
+    for point, row in kept:
+        zr, fit_row = (z[row], fit[row]) if row is not None else next(refined_rows)
+        rec = cp.record(PriceVector(u.network, point), fit_row, zr)
         if rec is not None:
             records.append(rec)
     return records
@@ -371,6 +477,31 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
                          mixed_support(meet_rec, False))
 
 
+def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
+                  eps_eq: float = EPS_EQ, eps_tie: float = EPS_TIE
+                  ) -> list[tuple[tuple[float, ...], tuple[float, ...], bool, bool]]:
+    """(join, meet, join is an equilibrium, meet is an equilibrium) for every
+    pair i < j of records, in that order.
+
+    The verdicts are those of ``verify_lattice_pair`` without its mixed
+    supports; the distinct join and meet points go through one kernel call.
+    """
+    for rec in records:
+        if rec.surplus > 10 * eps_eq or not rec.supports:
+            raise NotAnEquilibriumInput(rec.prices.values)
+    pairs = []
+    points: dict[tuple[float, ...], None] = {}
+    for e, e2 in itertools.combinations(records, 2):
+        join = tuple(map(max, e.prices.values, e2.prices.values))
+        meet = tuple(map(min, e.prices.values, e2.prices.values))
+        points[join] = points[meet] = None
+        pairs.append((join, meet))
+    _z, fit, _ = _CompiledProfile(u).evaluate(
+        list(points), max(eps_tie, 10 * eps_eq))
+    ok = dict(zip(points, fit.any(1).tolist()))
+    return [(join, meet, ok[join], ok[meet]) for join, meet in pairs]
+
+
 @dataclass(frozen=True)
 class RuralHospitalsReport:
     matched: tuple[tuple[int, int], ...]  # (support of e, matching support of e')
@@ -423,36 +554,30 @@ def extremal_equilibria(u: UtilityProfile,
     An optimum must make EVERY terminal seller (resp. buyer) weakly best off
     simultaneously; when no record dominates, the corresponding slot is None
     (theorem-hypothesis failure, reported rather than raised).  Ties break
-    lexicographically on prices.
+    lexicographically on prices.  Indirect utilities are the row maxima of
+    the record kernel's value matrices, one call over all records; a record
+    dominates when it is within 1e-9 of every column maximum.  The
+    coordinatewise max (min) exists when some record is within 1e-12 of the
+    column maxima (minima) of all prices.
     """
     if not found:
         raise EmptySet("no equilibria to compare")
     roles = terminal_roles(u.network)
-    sellers = [f for f, r in roles.items() if r == "terminal-seller"]
-    buyers = [f for f, r in roles.items() if r == "terminal-buyer"]
+    ordered = sorted(found, key=lambda r: r.prices.values)
+    cp = _CompiledProfile(u)
+    prices = np.array([rec.prices.values for rec in ordered])
+    _z, _fit, best = cp.evaluate(prices, EPS_TIE)
 
-    def utilities(rec: EquilibriumRecord, group) -> tuple[float, ...]:
-        return tuple(indirect_utility(u.firms[f], rec.prices) for f in group)
+    def dominant(role: str) -> EquilibriumRecord | None:
+        """First record achieving every group member's maximum simultaneously."""
+        utilities = best[:, [k for k, f in enumerate(cp.firms) if roles[f] == role]]
+        ok = (utilities >= utilities.max(0) - 1e-9).all(1)
+        return ordered[int(ok.argmax())] if ok.any() else None
 
-    def dominant(group):
-        """Record achieving every group member's maximum simultaneously."""
-        per_record = [(rec, utilities(rec, group))
-                      for rec in sorted(found, key=lambda r: r.prices.values)]
-        ceilings = [max(vals[i] for _, vals in per_record)
-                    for i in range(len(group))]
-        for rec, vals in per_record:
-            if all(v >= c - 1e-9 for v, c in zip(vals, ceilings)):
-                return rec
-        return None
-
-    seller_opt = dominant(sellers)
-    buyer_opt = dominant(buyers)
-
-    prices = [rec.prices.values for rec in found]
-    cmax = any(all(all(a >= b - 1e-12 for a, b in zip(p, q)) for q in prices)
-               for p in prices)
-    cmin = any(all(all(a <= b + 1e-12 for a, b in zip(p, q)) for q in prices)
-               for p in prices)
+    seller_opt = dominant("terminal-seller")
+    buyer_opt = dominant("terminal-buyer")
+    cmax = bool((prices >= prices.max(0) - 1e-12).all(1).any())
+    cmin = bool((prices <= prices.min(0) + 1e-12).all(1).any())
     return ExtremalReport(seller_opt, buyer_opt,
                           seller_opt is not None, buyer_opt is not None,
                           cmax, cmin)

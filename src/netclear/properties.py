@@ -19,7 +19,7 @@ import numpy as np
 
 from .demand import EPS_TIE, demand_set
 from .errors import PatternViolation
-from .model import PriceVector, partition_bundle
+from .model import PriceVector, net_index, partition_bundle
 from .utility import FirmUtility
 
 Pair = tuple[PriceVector, PriceVector]
@@ -177,16 +177,11 @@ def _csc_clause(u: FirmUtility, side: str, psi: int, psi2: int) -> bool:
     return up2 & ~up == 0
 
 
-def _net_index(u: FirmUtility, psi: int) -> int:
-    up, down = partition_bundle(u.network, u.firm, psi)
-    return up.bit_count() - down.bit_count()
-
-
 def _lad_clause(u: FirmUtility, side: str, psi: int, psi2: int) -> bool:
     """Aggregate-law inequality between witness at p and bundle at p'."""
-    if side == "purchase-raise":
-        return _net_index(u, psi) >= _net_index(u, psi2)
-    return -_net_index(u, psi) >= -_net_index(u, psi2)
+    a = net_index(u.network, u.firm, psi)
+    b = net_index(u.network, u.firm, psi2)
+    return a >= b if side == "purchase-raise" else a <= b
 
 
 # -- generic quantifier engine ----------------------------------------------
