@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -346,10 +345,8 @@ def cmd_lattice(sc: Scenario, args) -> RunResult:
     payload = {"pairs": []}
     violations = 0
     lines = []
-    verdicts = lattice_pairs(sc.profile, records, sc.analysis.eps_eq,
-                             sc.analysis.eps_tie)
-    for (e, e2), (join, meet, join_eq, meet_eq) in zip(
-            itertools.combinations(records, 2), verdicts):
+    for e, e2, join, meet, join_eq, meet_eq in lattice_pairs(
+            sc.profile, records, sc.analysis.eps_eq, sc.analysis.eps_tie):
         entry = {
             "p": list(e.prices.values),
             "p2": list(e2.prices.values),

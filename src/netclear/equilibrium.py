@@ -22,15 +22,18 @@ Records are assembled in batches by one kernel,
 bundles]``, from which come Z, the supports (global sets whose every share
 is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.
-``find_equilibria``, ``is_equilibrium`` (a batch of one) and
-``extremal_equilibria`` go through it; the scalar ``surplus_at`` remains
-for coordinate descent and ``surplus``.
+``find_equilibria``, ``is_equilibrium`` (a batch of one),
+``extremal_equilibria``, ``verify_lattice_pair``, ``lattice_pairs`` and
+``grid_surplus`` go through it; the scalar ``surplus_at`` remains for
+coordinate descent and ``surplus``.  The compiled caches of a profile are
+built once per profile object and dropped with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -50,6 +53,7 @@ from .errors import (
 from .model import (
     PriceVector,
     TradeNetwork,
+    join_meet,
     join_meet_prices,
     net_index,
     terminal_roles,
@@ -103,17 +107,21 @@ def _compatible_supports(network: TradeNetwork,
 
 class _CompiledProfile:
     """Per-profile caches shared by surplus evaluation, grid scans and the
-    record kernel."""
+    record kernel.
+
+    It keeps the profile's firm utilities, not the profile itself, so that
+    ``_compiled`` can drop it when the profile is freed.
+    """
 
     def __init__(self, profile: UtilityProfile):
-        self.profile = profile
+        self.utilities = profile.firms
         self.network = profile.network
         self.firms = sorted(profile.firms)
         self._net: dict[int, dict[str, int]] = {}
 
     @cached_property
     def feasible_globals(self) -> list[int]:
-        per_firm = {f: self.profile.firms[f].feasible_masks()
+        per_firm = {f: self.utilities[f].feasible_masks()
                     for f in self.firms}
         out = _compatible_supports(self.network, per_firm)
         if not out:
@@ -124,7 +132,7 @@ class _CompiledProfile:
     def price_axes(self) -> dict[str, tuple[int, ...]]:
         """Trade axes each firm's expressions read (any trade, not just its own)."""
         index = self.network.index
-        return {f: tuple(sorted({index[t] for e in self.profile.firms[f].table.values()
+        return {f: tuple(sorted({index[t] for e in self.utilities[f].table.values()
                                  for t in ex.price_refs(e)}))
                 for f in self.firms}
 
@@ -134,7 +142,7 @@ class _CompiledProfile:
         column of each feasible global set's share of the firm."""
         out = []
         for f in self.firms:
-            u = self.profile.firms[f]
+            u = self.utilities[f]
             omega, masks = u.omega, u.feasible_masks()
             column = {m: k for k, m in enumerate(masks)}
             out.append(([u.vector_fn(m) for m in masks],
@@ -147,7 +155,7 @@ class _CompiledProfile:
         regrets = []
         total = 0.0
         for f in self.firms:
-            u = self.profile.firms[f]
+            u = self.utilities[f]
             best = None
             table = {}
             for mask in u.feasible_masks():
@@ -192,26 +200,28 @@ class _CompiledProfile:
         z = np.empty(len(points))
         fit = np.empty((len(points), globals_), dtype=bool)
         best = np.empty((len(points), len(self.firms)))
-        for a in range(0, len(points), rows):
-            block = points[a:a + rows]
-            columns = list(block.T)
-            worst = np.zeros((len(block), globals_))
-            ok = np.ones((len(block), globals_), dtype=bool)
-            for k, (fns, share) in enumerate(self.value_tables):
-                v = np.empty((len(block), len(fns)))
-                with np.errstate(all="ignore"):
+        # closures may overflow or leave their domain; the values are
+        # checked for finiteness before any use
+        with np.errstate(all="ignore"):
+            for a in range(0, len(points), rows):
+                block = points[a:a + rows]
+                columns = list(block.T)
+                worst = np.zeros((len(block), globals_))
+                ok = np.ones((len(block), globals_), dtype=bool)
+                for k, (fns, share) in enumerate(self.value_tables):
+                    v = np.empty((len(block), len(fns)))
                     for j, fn in enumerate(fns):
                         v[:, j] = fn(columns)
-                if not np.isfinite(v).all():
-                    bad = block[~np.isfinite(v).all(1)][0]
-                    raise NonFiniteUtility(
-                        f"a utility is not finite at prices {tuple(bad.tolist())}")
-                top = v.max(1)
-                best[a:a + rows, k] = top
-                np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
-                ok &= (v >= (top - tie)[:, None])[:, share]
-            z[a:a + rows] = worst.min(1)
-            fit[a:a + rows] = ok
+                    if not np.isfinite(v).all():
+                        bad = block[~np.isfinite(v).all(1)][0]
+                        raise NonFiniteUtility(
+                            f"a utility is not finite at prices {tuple(bad.tolist())}")
+                    top = v.max(1)
+                    best[a:a + rows, k] = top
+                    np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
+                    ok &= (v >= (top - tie)[:, None])[:, share]
+                z[a:a + rows] = worst.min(1)
+                fit[a:a + rows] = ok
         return z.tolist(), fit, best
 
     def record(self, p: PriceVector, fit: np.ndarray,
@@ -234,7 +244,7 @@ class _CompiledProfile:
         The result broadcasts over the block but only spans the axes f
         reads.  A NaN anywhere in f's values makes every entry False there.
         """
-        u = self.profile.firms[f]
+        u = self.utilities[f]
         masks = u.feasible_masks()
         vals = [np.asarray(u.vector_fn(m)(columns), dtype=float) for m in masks]
         best = reduce(np.maximum, vals)
@@ -252,7 +262,7 @@ class _CompiledProfile:
         n, levels = self.network.n, len(axis)
         lead = next(d for d in range(n) if levels ** (n - 1 - d) <= batch)
         rows = min(levels, max(1, batch // levels ** (n - 1 - lead)))
-        omegas = {f: self.profile.firms[f].omega for f in self.firms}
+        omegas = {f: self.utilities[f].omega for f in self.firms}
         tables: dict[str, tuple[tuple, dict[int, np.ndarray]]] = {}
         hits: list[tuple[float, ...]] = []
         for prefix in itertools.product(range(levels), repeat=lead):
@@ -274,9 +284,37 @@ class _CompiledProfile:
         return hits
 
 
+# compiled caches of the live profile objects, keyed by id
+_COMPILED: dict[int, _CompiledProfile] = {}
+
+
+def _compiled(u: UtilityProfile) -> _CompiledProfile:
+    """The compiled caches of u, built on first use and dropped when u is
+    freed (the caches hold no reference to u itself)."""
+    cp = _COMPILED.get(id(u))
+    if cp is None:
+        cp = _COMPILED[id(u)] = _CompiledProfile(u)
+        weakref.finalize(u, _COMPILED.pop, id(u), None)
+    return cp
+
+
+def _support_tie(eps_eq: float, eps_tie: float) -> float:
+    """Tie tolerance for the supports of a record: a point accepted with Z
+    up to ``eps_eq`` must keep the bundles that tie within that slack."""
+    return max(eps_tie, 10 * eps_eq)
+
+
+def _check_inputs(records: Sequence[EquilibriumRecord], eps_eq: float) -> None:
+    """Raise ``NotAnEquilibriumInput`` for a record that is not an
+    equilibrium: Z above ``10 * eps_eq`` or no support."""
+    for rec in records:
+        if rec.surplus > 10 * eps_eq or not rec.supports:
+            raise NotAnEquilibriumInput(rec.prices.values)
+
+
 def surplus(u: UtilityProfile, p: PriceVector, eps_tie: float = EPS_TIE) -> float:
     """Z(p): zero exactly at equilibrium prices, positive elsewhere."""
-    return _CompiledProfile(u).surplus_at(p.values)
+    return _compiled(u).surplus_at(p.values)
 
 
 def is_equilibrium(u: UtilityProfile, p: PriceVector,
@@ -285,7 +323,7 @@ def is_equilibrium(u: UtilityProfile, p: PriceVector,
     """The record at p, or None when no global trade set gives every firm a
     bundle within ``eps_tie`` of its best: a batch of one through
     ``_CompiledProfile.evaluate``."""
-    cp = _CompiledProfile(u)
+    cp = _compiled(u)
     (z,), (fit,), _ = cp.evaluate([p.values], eps_tie)
     return cp.record(p, fit, z)
 
@@ -322,15 +360,15 @@ def _coordinate_descent(cp: _CompiledProfile, start: tuple[float, ...],
     return tuple(x), z
 
 
-def grid_surplus(u: UtilityProfile, box: tuple[float, float], step: float,
-                 batch: int = BATCH) -> tuple[np.ndarray, list[float]]:
+def grid_surplus(u: UtilityProfile, box: tuple[float, float],
+                 step: float) -> tuple[np.ndarray, list[float]]:
     """Every point of the grid, in row-major order, and its exact Z from the
     record kernel."""
     n = u.network.n
     axis = _grid_axis(box, step, n)
     levels = len(axis)
     points = axis[np.indices((levels,) * n).reshape(n, levels ** n).T]
-    z, _fit, _best = _CompiledProfile(u).evaluate(points, EPS_TIE, batch)
+    z, _fit, _best = _compiled(u).evaluate(points, EPS_TIE)
     return points, z
 
 
@@ -388,9 +426,9 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
         refine = None
     if trigger is None:
         trigger = step / 2 if refine is not None else eps_eq
-    cp = _CompiledProfile(u)
+    cp = _compiled(u)
     candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
-    support_tie = max(eps_tie, 10 * eps_eq)
+    support_tie = _support_tie(eps_eq, eps_tie)
     z, fit, _ = cp.evaluate(candidates, support_tie, batch)
     # (point, its row in the kernel output, or None once refined)
     found: list[tuple[tuple[float, ...], int | None]] = []
@@ -445,14 +483,15 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
                         eps_tie: float = EPS_TIE) -> LatticeReport:
     """Check that coordinatewise join and meet prices are again equilibria,
     and that the explicit mixed supports (take each trade from whichever of
-    the two supports priced it higher / lower) support them."""
-    for rec in (e, e2):
-        if rec.surplus > 10 * eps_eq or not rec.supports:
-            raise NotAnEquilibriumInput(rec.prices.values)
+    the two supports priced it higher / lower) support them.  Join and meet
+    go through one kernel call."""
+    _check_inputs((e, e2), eps_eq)
     join, meet = join_meet_prices(e.prices, e2.prices)
-    support_tie = max(eps_tie, 10 * eps_eq)
-    join_rec = is_equilibrium(u, join, eps_eq, support_tie)
-    meet_rec = is_equilibrium(u, meet, eps_eq, support_tie)
+    cp = _compiled(u)
+    z, fit, _ = cp.evaluate([join.values, meet.values],
+                            _support_tie(eps_eq, eps_tie))
+    join_rec = cp.record(join, fit[0], z[0])
+    meet_rec = cp.record(meet, fit[1], z[1])
 
     def mixed_support(target: EquilibriumRecord | None, for_join: bool):
         if target is None:
@@ -479,27 +518,25 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
 
 def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
                   eps_eq: float = EPS_EQ, eps_tie: float = EPS_TIE
-                  ) -> list[tuple[tuple[float, ...], tuple[float, ...], bool, bool]]:
-    """(join, meet, join is an equilibrium, meet is an equilibrium) for every
-    pair i < j of records, in that order.
+                  ) -> list[tuple[EquilibriumRecord, EquilibriumRecord,
+                                  tuple[float, ...], tuple[float, ...], bool, bool]]:
+    """(e, e2, join, meet, join is an equilibrium, meet is an equilibrium)
+    for every pair of records e before e2, in ``itertools.combinations``
+    order.
 
     The verdicts are those of ``verify_lattice_pair`` without its mixed
     supports; the distinct join and meet points go through one kernel call.
     """
-    for rec in records:
-        if rec.surplus > 10 * eps_eq or not rec.supports:
-            raise NotAnEquilibriumInput(rec.prices.values)
+    _check_inputs(records, eps_eq)
     pairs = []
     points: dict[tuple[float, ...], None] = {}
     for e, e2 in itertools.combinations(records, 2):
-        join = tuple(map(max, e.prices.values, e2.prices.values))
-        meet = tuple(map(min, e.prices.values, e2.prices.values))
+        join, meet = join_meet(e.prices.values, e2.prices.values)
         points[join] = points[meet] = None
-        pairs.append((join, meet))
-    _z, fit, _ = _CompiledProfile(u).evaluate(
-        list(points), max(eps_tie, 10 * eps_eq))
+        pairs.append((e, e2, join, meet))
+    _z, fit, _ = _compiled(u).evaluate(list(points), _support_tie(eps_eq, eps_tie))
     ok = dict(zip(points, fit.any(1).tolist()))
-    return [(join, meet, ok[join], ok[meet]) for join, meet in pairs]
+    return [(e, e2, join, meet, ok[join], ok[meet]) for e, e2, join, meet in pairs]
 
 
 @dataclass(frozen=True)
@@ -517,9 +554,7 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
                                 eps_eq: float = EPS_EQ) -> RuralHospitalsReport:
     """Every support of e must have a support of e' with identical per-firm
     net-trade indices (purchases minus sales)."""
-    for rec in (e, e2):
-        if rec.surplus > 10 * eps_eq or not rec.supports:
-            raise NotAnEquilibriumInput(rec.prices.values)
+    _check_inputs((e, e2), eps_eq)
     firms = sorted(u.firms)
 
     def vec(mask: int) -> tuple[int, ...]:
@@ -564,7 +599,7 @@ def extremal_equilibria(u: UtilityProfile,
         raise EmptySet("no equilibria to compare")
     roles = terminal_roles(u.network)
     ordered = sorted(found, key=lambda r: r.prices.values)
-    cp = _CompiledProfile(u)
+    cp = _compiled(u)
     prices = np.array([rec.prices.values for rec in ordered])
     _z, _fit, best = cp.evaluate(prices, EPS_TIE)
 

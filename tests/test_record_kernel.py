@@ -9,10 +9,12 @@ utilities, whatever the block size.  The extremal ranking and the
 
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -21,16 +23,20 @@ from netclear import expr as ex
 from netclear.cli import load_scenario, main
 from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
+    _COMPILED,
     EPS_EQ,
     ExtremalReport,
     _compatible_supports,
+    _compiled,
     _CompiledProfile,
     extremal_equilibria,
     find_equilibria,
     is_equilibrium,
+    lattice_pairs,
     verify_lattice_pair,
+    verify_rural_hospitals_pair,
 )
-from netclear.errors import NonFiniteUtility
+from netclear.errors import NonFiniteUtility, NotAnEquilibriumInput
 from netclear.instances import assignment_market, star_market
 from netclear.model import PriceVector, build_network, terminal_roles
 from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear
@@ -203,6 +209,19 @@ def test_is_equilibrium_is_a_batch_of_one():
         assert rec.surplus == pytest.approx(cp.surplus_at(values), abs=1e-12)
 
 
+def test_compiled_caches_follow_the_profile_object():
+    u = star_market()
+    cp = _compiled(u)
+    assert _compiled(u) is cp
+    # an equal but distinct profile object gets caches of its own
+    twin = u.replace()
+    assert twin == u and _compiled(twin) is not cp
+    key, ref = id(u), weakref.ref(cp)
+    del u, twin, cp
+    gc.collect()
+    assert ref() is None and key not in _COMPILED
+
+
 # -- extremal ranking -----------------------------------------------------------
 
 def extremal_oracle(u, found):
@@ -340,6 +359,40 @@ def test_lattice_report_matches_per_pair_loop(scenario, tmp_path, capsys):
     failing = sum(1 for entry in expected
                   if not (entry["join_equilibrium"] and entry["meet_equilibrium"]))
     assert code == (0 if failing == 0 else 2)
+
+
+def test_lattice_pairs_carry_their_records():
+    sc = load_scenario(os.path.join(SCENARIOS, "star.json"))
+    u = sc.profile
+    records = find_equilibria(u, sc.analysis.box, sc.analysis.step)
+    pairs = lattice_pairs(u, records)
+    assert len(pairs) == len(records) * (len(records) - 1) // 2 > 0
+    for (e, e2), got in zip(itertools.combinations(records, 2), pairs):
+        assert got[0] is e and got[1] is e2
+        rep = verify_lattice_pair(u, e, e2)
+        assert got[2:] == (rep.join_prices, rep.meet_prices,
+                           rep.join_record is not None,
+                           rep.meet_record is not None)
+        for prices, rec in ((rep.join_prices, rep.join_record),
+                            (rep.meet_prices, rep.meet_record)):
+            assert rec == is_equilibrium(u, PriceVector(u.network, prices),
+                                         eps_tie=SUPPORT_TIE)
+
+
+def test_verifiers_reject_the_same_inputs():
+    u = star_market()
+    good = is_equilibrium(u, PriceVector(u.network, (1.0, 1.0, 1.0, 1.0)))
+    for bad in (dataclasses.replace(good, surplus=1e-5),
+                dataclasses.replace(good, supports=())):
+        with pytest.raises(NotAnEquilibriumInput):
+            lattice_pairs(u, [good, bad])
+        with pytest.raises(NotAnEquilibriumInput):
+            verify_lattice_pair(u, good, bad)
+        with pytest.raises(NotAnEquilibriumInput):
+            verify_rural_hospitals_pair(u, bad, good)
+    # 10 * EPS_EQ is still accepted
+    edge = dataclasses.replace(good, surplus=10 * EPS_EQ)
+    assert lattice_pairs(u, [good, edge])[0][4:] == (True, True)
 
 
 def test_solve_csv_matches_scalar_surplus(tmp_path, capsys):
