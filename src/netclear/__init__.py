@@ -2,7 +2,6 @@
 trading networks with imperfectly transferable utility and frictions."""
 
 from .model import (
-    Arrangement,
     PriceVector,
     Trade,
     TradeNetwork,
@@ -29,7 +28,6 @@ from .demand import (
     demand_set,
     demand_invariance_check,
     indirect_utility,
-    is_single_valued,
     joint_tiebreak_selection,
     nib_witness,
 )

@@ -43,10 +43,6 @@ def demand_set(u: FirmUtility, p: PriceVector,
     return DemandResult(bundles, best, eps_tie)
 
 
-def is_single_valued(d: DemandResult) -> bool:
-    return d.single_valued
-
-
 def joint_tiebreak_selection(u: FirmUtility, points: list[PriceVector],
                              schedule: tuple[float, float, int] = (1e-3, 0.5, 40),
                              eps_tie: float = EPS_TIE,

@@ -47,7 +47,6 @@ from .errors import (
     EmptyBox,
     EmptySet,
     GridTooLarge,
-    NonFiniteUtility,
     NotAnEquilibriumInput,
 )
 from .model import (
@@ -117,7 +116,7 @@ class _CompiledProfile:
         self.utilities = profile.firms
         self.network = profile.network
         self.firms = sorted(profile.firms)
-        self._net: dict[int, dict[str, int]] = {}
+        self._net: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def feasible_globals(self) -> list[int]:
@@ -137,36 +136,39 @@ class _CompiledProfile:
                 for f in self.firms}
 
     @cached_property
-    def value_tables(self) -> list[tuple[list, np.ndarray]]:
-        """Per firm: the vector closures of its feasible bundles, and the
-        column of each feasible global set's share of the firm."""
+    def shares(self) -> list[np.ndarray]:
+        """Per firm: the column of its value matrix holding each feasible
+        global set's share of the firm."""
         out = []
         for f in self.firms:
             u = self.utilities[f]
-            omega, masks = u.omega, u.feasible_masks()
-            column = {m: k for k, m in enumerate(masks)}
-            out.append(([u.vector_fn(m) for m in masks],
-                        np.array([column[g & omega] for g in self.feasible_globals],
-                                 dtype=np.intp)))
+            column = {m: k for k, m in enumerate(u.feasible_masks())}
+            out.append(np.array([column[g & u.omega] for g in self.feasible_globals],
+                                dtype=np.intp))
         return out
 
+    def net_vector(self, mask: int) -> tuple[int, ...]:
+        """Per-firm net-trade indices of a global bundle, built once per mask."""
+        vec = self._net.get(mask)
+        if vec is None:
+            vec = self._net[mask] = tuple(
+                net_index(self.network, f, mask) for f in self.firms)
+        return vec
+
     def surplus_at(self, values: tuple[float, ...]) -> float:
-        """Exact Z at one price tuple."""
+        """Exact Z at one price tuple (``FirmUtility.value`` raises
+        ``NonFiniteUtility`` for a value that is not finite)."""
         regrets = []
-        total = 0.0
         for f in self.firms:
             u = self.utilities[f]
             best = None
             table = {}
             for mask in u.feasible_masks():
                 v = u.value(mask, values)
-                total += v
                 table[mask] = v
                 if best is None or v > best:
                     best = v
             regrets.append((u.omega, {m: best - v for m, v in table.items()}))
-        if not math.isfinite(total):
-            raise NonFiniteUtility(f"a utility is not finite at prices {values}")
         z = None
         for g in self.feasible_globals:
             worst = 0.0
@@ -184,14 +186,15 @@ class _CompiledProfile:
                  ) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Exact Z, supports and indirect utilities at each row of points.
 
-        Each firm's value matrix ``V_f[rows, bundles]`` is built once with
-        the vector closures.  With ``best_f`` its row max, ``z[r]`` is the
-        min over feasible global sets of the max over firms of ``best_f -
-        V_f`` at the firm's share; ``fit[r, g]`` says whether every share of
-        ``feasible_globals[g]`` is within ``tie`` of ``best_f`` (the global
-        set supports row r); ``best[r, k]`` is the indirect utility of
-        ``firms[k]``.  Rows go in blocks of at most ``batch`` regret
-        entries.  A non-finite value raises ``NonFiniteUtility``.
+        Each firm's value matrix ``V_f[rows, bundles]`` is built once by
+        ``FirmUtility.value_matrix``.  With ``best_f`` its row max, ``z[r]``
+        is the min over feasible global sets of the max over firms of
+        ``best_f - V_f`` at the firm's share; ``fit[r, g]`` says whether
+        every share of ``feasible_globals[g]`` is within ``tie`` of
+        ``best_f`` (the global set supports row r); ``best[r, k]`` is the
+        indirect utility of ``firms[k]``.  Rows go in blocks of at most
+        ``batch`` regret entries.  A non-finite value raises
+        ``NonFiniteUtility``.
         """
         points = np.asarray(points, dtype=float)
         points = points.reshape(len(points), self.network.n)
@@ -200,28 +203,18 @@ class _CompiledProfile:
         z = np.empty(len(points))
         fit = np.empty((len(points), globals_), dtype=bool)
         best = np.empty((len(points), len(self.firms)))
-        # closures may overflow or leave their domain; the values are
-        # checked for finiteness before any use
-        with np.errstate(all="ignore"):
-            for a in range(0, len(points), rows):
-                block = points[a:a + rows]
-                columns = list(block.T)
-                worst = np.zeros((len(block), globals_))
-                ok = np.ones((len(block), globals_), dtype=bool)
-                for k, (fns, share) in enumerate(self.value_tables):
-                    v = np.empty((len(block), len(fns)))
-                    for j, fn in enumerate(fns):
-                        v[:, j] = fn(columns)
-                    if not np.isfinite(v).all():
-                        bad = block[~np.isfinite(v).all(1)][0]
-                        raise NonFiniteUtility(
-                            f"a utility is not finite at prices {tuple(bad.tolist())}")
-                    top = v.max(1)
-                    best[a:a + rows, k] = top
-                    np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
-                    ok &= (v >= (top - tie)[:, None])[:, share]
-                z[a:a + rows] = worst.min(1)
-                fit[a:a + rows] = ok
+        for a in range(0, len(points), rows):
+            block = points[a:a + rows]
+            worst = np.zeros((len(block), globals_))
+            ok = np.ones((len(block), globals_), dtype=bool)
+            for k, (f, share) in enumerate(zip(self.firms, self.shares)):
+                v = self.utilities[f].value_matrix(block)
+                top = v.max(1)
+                best[a:a + rows, k] = top
+                np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
+                ok &= (v >= (top - tie)[:, None])[:, share]
+            z[a:a + rows] = worst.min(1)
+            fit[a:a + rows] = ok
         return z.tolist(), fit, best
 
     def record(self, p: PriceVector, fit: np.ndarray,
@@ -230,12 +223,8 @@ class _CompiledProfile:
         supports = tuple(itertools.compress(self.feasible_globals, fit.tolist()))
         if not supports:
             return None
-        designated = supports[0]
-        net = self._net.get(designated)
-        if net is None:
-            net = self._net[designated] = {
-                f: net_index(self.network, f, designated) for f in self.firms}
-        return EquilibriumRecord(p, supports, dict(net), z)
+        net = dict(zip(self.firms, self.net_vector(supports[0])))
+        return EquilibriumRecord(p, supports, net, z)
 
     def _firm_ok(self, f: str, columns: list[np.ndarray],
                  threshold: float) -> dict[int, np.ndarray]:
@@ -553,13 +542,10 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
                                 e2: EquilibriumRecord,
                                 eps_eq: float = EPS_EQ) -> RuralHospitalsReport:
     """Every support of e must have a support of e' with identical per-firm
-    net-trade indices (purchases minus sales)."""
+    net-trade indices (purchases minus sales); each support's index vector
+    is built once per profile."""
     _check_inputs((e, e2), eps_eq)
-    firms = sorted(u.firms)
-
-    def vec(mask: int) -> tuple[int, ...]:
-        return tuple(net_index(u.network, f, mask) for f in firms)
-
+    vec = _compiled(u).net_vector
     other = {vec(m): m for m in e2.supports}
     matched = []
     unmatched = []

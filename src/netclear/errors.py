@@ -112,7 +112,13 @@ class GridTooLarge(NetclearError):
 
 
 class NonFiniteUtility(NetclearError):
-    """A utility evaluated to NaN or an infinity, so Z is undefined."""
+    """A utility evaluated to NaN or an infinity, or left its domain, so Z
+    and the demand set are undefined.  ``row`` is the first offending row
+    of a value matrix (None for a single price tuple)."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class InfeasibleAllocation(NetclearError):

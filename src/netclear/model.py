@@ -1,4 +1,4 @@
-"""Trading-network topology: trades, firms, bundles, prices, arrangements.
+"""Trading-network topology: trades, firms, bundles and prices.
 
 Bundles are plain ``int`` bitmasks over the network's dense trade indices,
 which keeps subset / union / difference / cardinality exact and cheap.  The
@@ -175,12 +175,6 @@ class PriceVector:
         vals = list(self.values)
         vals[i] = float(value)
         return PriceVector(self.network, tuple(vals))
-
-
-@dataclass(frozen=True)
-class Arrangement:
-    bundle: int
-    prices: PriceVector
 
 
 def join_meet(p: Sequence[float], q: Sequence[float]

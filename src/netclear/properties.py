@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .demand import EPS_TIE, demand_set
-from .errors import PatternViolation
-from .model import PriceVector, net_index, partition_bundle
+from .errors import NonFiniteUtility, PatternViolation
+from .model import PriceVector
 from .utility import FirmUtility
 
 Pair = tuple[PriceVector, PriceVector]
@@ -39,6 +40,8 @@ class PropertyReport:
     variant: str
     pairs_tested: int
     violations: tuple[Violation, ...]
+    # pairs not skipped as vacuous by a weak variant
+    pairs_decided: int
 
     @property
     def verdict(self) -> str:
@@ -47,28 +50,6 @@ class PropertyReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _pair_side(u: FirmUtility, p: PriceVector, p2: PriceVector) -> str:
-    """Classify a pair as 'purchase-raise' or 'sale-lower' from p to p'."""
-    buys = u.network.buys_mask(u.firm)
-    sells = u.network.sells_mask(u.firm)
-    purch_equal = purch_up = sale_equal = sale_down = True
-    for i in range(u.network.n):
-        bit = 1 << i
-        a, b = p.values[i], p2.values[i]
-        if buys & bit:
-            purch_equal &= a == b
-            purch_up &= a <= b
-        elif sells & bit:
-            sale_equal &= a == b
-            sale_down &= a >= b
-    if sale_equal and purch_up:
-        return "purchase-raise"
-    if purch_equal and sale_down:
-        return "sale-lower"
-    raise PatternViolation(
-        f"pair {p.values} -> {p2.values} matches no one-sided pattern")
 
 
 def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
@@ -141,114 +122,155 @@ def exhaustive_pattern_pairs(u: FirmUtility, box: tuple[float, float],
             return
 
 
-# -- clause primitives -------------------------------------------------------
+# -- clauses ------------------------------------------------------------------
+#
+# Every clause has one signature: (raising, equal, up, down) -> a boolean
+# array that broadcasts to [pairs, bundles, bundles].  Axis 1 is the bundle
+# psi demanded at p, axis 2 the bundle psi' demanded at p'.  ``raising[k]``
+# says pair k is purchase-raise (else sale-lower), ``equal[k]`` is the
+# bitmask of trades priced alike at p and p', and ``up`` / ``down`` hold each
+# feasible bundle's purchases / sales as bitmasks.
 
-def _sss_clause(u: FirmUtility, side: str, p: PriceVector, p2: PriceVector,
-                psi: int, psi2: int) -> bool:
-    """Same-side inclusion for witness psi in D(p) against psi2 in D(p')."""
-    net = u.network
-    if side == "purchase-raise":
-        up, _ = partition_bundle(net, u.firm, psi)
-        up2, _ = partition_bundle(net, u.firm, psi2)
-        kept = 0
-        for i in range(net.n):
-            if up >> i & 1 and p.values[i] == p2.values[i]:
-                kept |= 1 << i
-        return kept & ~up2 == 0
-    _, down = partition_bundle(net, u.firm, psi)
-    _, down2 = partition_bundle(net, u.firm, psi2)
-    kept = 0
-    for i in range(net.n):
-        if down >> i & 1 and p.values[i] == p2.values[i]:
-            kept |= 1 << i
-    return kept & ~down2 == 0
+def _same_side(raising, equal, up, down):
+    """Same-side inclusion: the witness's trades on the moving side whose
+    prices stayed put are kept by the bundle at p'."""
+    own = np.where(raising[:, None], up, down)
+    return (own & equal[:, None])[:, :, None] & ~own[:, None, :] == 0
 
 
-def _csc_clause(u: FirmUtility, side: str, psi: int, psi2: int) -> bool:
-    """Cross-side inclusion: the p'-bundle keeps doing at least as much on
-    the other side as the witness at p."""
-    net = u.network
-    _, down = partition_bundle(net, u.firm, psi)
-    up, _ = partition_bundle(net, u.firm, psi)
-    _, down2 = partition_bundle(net, u.firm, psi2)
-    up2, _ = partition_bundle(net, u.firm, psi2)
-    if side == "purchase-raise":
-        return down2 & ~down == 0
-    return up2 & ~up == 0
+def _cross_side(raising, equal, up, down):
+    """Cross-side inclusion: the bundle at p' does nothing on the other side
+    that the witness at p does not."""
+    other = np.where(raising[:, None], down, up)
+    return other[:, None, :] & ~other[:, :, None] == 0
 
 
-def _lad_clause(u: FirmUtility, side: str, psi: int, psi2: int) -> bool:
-    """Aggregate-law inequality between witness at p and bundle at p'."""
-    a = net_index(u.network, u.firm, psi)
-    b = net_index(u.network, u.firm, psi2)
-    return a >= b if side == "purchase-raise" else a <= b
+def _aggregate_law(raising, equal, up, down):
+    """Net-trade index |purchases| - |sales| weakly falls from p to p' on a
+    purchase-raise, weakly rises on a sale-lower."""
+    net = np.bitwise_count(up).astype(np.intp) - np.bitwise_count(down)
+    gap = net[:, None] - net[None, :]
+    return np.where(raising[:, None, None], gap >= 0, gap <= 0)
+
+
+def _single_improvement(raising, equal, up, down):
+    """From the witness at p to the bundle at p': at most one purchase
+    dropped or sale added, and at most one purchase added or sale dropped,
+    whatever the side of the pair."""
+    count = np.bitwise_count
+    a, a2, d, d2 = up[:, None], up[None, :], down[:, None], down[None, :]
+    return ((count(a & ~a2) + count(d2 & ~d) <= 1)
+            & (count(a2 & ~a) + count(d & ~d2) <= 1))[None]
 
 
 # -- generic quantifier engine ----------------------------------------------
 
+# pairs read from the pair source per block; the clause arrays of a block
+# hold PAIR_BLOCK * bundles^2 entries
+PAIR_BLOCK = 256
+# a check stops after the pair that brings its violations to this count
+MAX_VIOLATIONS = 25
+
+
 def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
-               eps_tie: float, clauses, single_only: bool,
-               contraction: bool) -> PropertyReport:
+               eps_tie: float, clauses, single_only: bool = False,
+               contraction: bool = False, side: str | None = None,
+               one_move: bool = False) -> PropertyReport:
     """Run 'for all bundles on one side there exists a witness on the other
     side satisfying every clause' over all pairs, both movement directions.
 
     Expansion quantifies over D(p') with witness in D(p); contraction swaps
     the roles.  Weak variants set single_only: pairs with multi-valued
-    demand at either point are skipped (vacuous pass).
+    demand at either point are skipped (vacuous pass).  With ``side`` only
+    that side's pairs are tested; with ``one_move`` a pair moving more than
+    one price raises ``PatternViolation``.
+
+    Pairs go in blocks of ``PAIR_BLOCK``: the demand sets of a block come
+    from one value matrix over its stacked p and p' rows, and each clause is
+    one array expression over all its pairs.  A pair matching no one-sided
+    pattern, or with a utility that is not finite, raises once every pair
+    before it is tested, unless the check stopped before it.
     """
-    violations = []
-    tested = 0
-    for p, p2 in pairs:
-        side = _pair_side(u, p, p2)
-        tested += 1
-        d = demand_set(u, p, eps_tie)
-        d2 = demand_set(u, p2, eps_tie)
-        if single_only and not (d.single_valued and d2.single_valued):
-            continue
+    net = u.network
+    masks = u.feasible_masks()
+    buys, sells = net.buys_mask(u.firm), net.sells_mask(u.firm)
+    up = np.array([m & buys for m in masks], dtype=np.int64)
+    down = np.array([m & sells for m in masks], dtype=np.int64)
+    bit = np.int64(1) << np.arange(net.n, dtype=np.int64)
+    bought, sold = (buys & bit) != 0, (sells & bit) != 0
+    violations: list[Violation] = []
+    tested = decided = 0
+    source = iter(pairs)
+    while len(violations) < MAX_VIOLATIONS and (
+            block := list(itertools.islice(source, PAIR_BLOCK))):
+        # prices[k] stacks the p and p' rows of pair k
+        prices = np.fromiter(itertools.chain.from_iterable(
+            a.values + b.values for a, b in block), float).reshape(-1, 2, net.n)
+        p, q = prices[:, 0], prices[:, 1]
+        if one_move and ((p != q).sum(1) > 1).any():
+            raise PatternViolation("single-improvement pairs move one coordinate")
+        equal = p == q
+        raising = ((equal | ~sold) & ((p <= q) | ~bought)).all(1)
+        lowering = ((equal | ~bought) & ((p >= q) | ~sold)).all(1)
+        mixed = ~(raising | lowering)
+        end, error = len(block), None
+        if mixed.any():
+            end = int(mixed.argmax())
+            error = PatternViolation(
+                f"pair {block[end][0].values} -> {block[end][1].values} "
+                "matches no one-sided pattern")
+        rows = np.arange(end)
+        if side is not None:
+            rows = rows[raising[:end] == (side == "purchase-raise")]
+        points = prices[rows].reshape(-1, net.n)
+        try:
+            v = u.value_matrix(points)
+        except NonFiniteUtility as err:
+            rows, error = rows[:err.row // 2], err
+            v = u.value_matrix(points[:2 * len(rows)])
+        demand = v >= v.max(1, keepdims=True) - eps_tie
+        demand = demand.reshape(len(rows), 2, len(masks))
+        at_p, at_q = demand[:, 0], demand[:, 1]
+        ok = reduce(np.logical_and,
+                    (cl(raising[rows], equal[rows] @ bit, up, down)
+                     for cl in clauses))
         if contraction:
-            targets, witnesses = d.bundles, d2.bundles
+            fail = at_p & ~(ok & at_q[:, None, :]).any(2)
         else:
-            targets, witnesses = d2.bundles, d.bundles
-        for target in targets:
-            ok = False
-            for witness in witnesses:
-                if contraction:
-                    psi, psi2 = target, witness
-                else:
-                    psi, psi2 = witness, target
-                if all(cl(u, side, p, p2, psi, psi2) for cl in clauses):
-                    ok = True
-                    break
-            if not ok:
-                violations.append(Violation(
-                    p.values, p2.values, target,
-                    f"{name}/{variant}: no witness for bundle "
-                    f"{sorted(u.network.ids_of(target))} on side {side}"))
-        if len(violations) >= 25:
-            break
-    return PropertyReport(name, variant, tested, tuple(violations))
-
-
-def _wrap(fn):
-    return lambda u, side, p, p2, psi, psi2: fn(u, side, psi, psi2)
-
-
-_SSS = [lambda u, side, p, p2, psi, psi2: _sss_clause(u, side, p, p2, psi, psi2)]
-_CSC = [_wrap(_csc_clause)]
-_LAD = [_wrap(_lad_clause)]
+            fail = at_q & ~(ok & at_p[:, :, None]).any(1)
+        counted = np.ones(len(rows), dtype=bool)
+        if single_only:
+            counted = (at_p.sum(1) == 1) & (at_q.sum(1) == 1)
+            fail &= counted[:, None]
+        total = len(violations) + np.cumsum(fail.sum(1))
+        if (total >= MAX_VIOLATIONS).any():
+            rows = rows[:int((total >= MAX_VIOLATIONS).argmax()) + 1]
+            error = None
+        tested += len(rows)
+        decided += int(counted[:len(rows)].sum())
+        for k, j in np.argwhere(fail[:len(rows)]).tolist():
+            a, b = block[rows[k]]
+            violations.append(Violation(
+                a.values, b.values, masks[j],
+                f"{name}/{variant}: no witness for bundle "
+                f"{sorted(net.ids_of(masks[j]))} on side "
+                f"{'purchase-raise' if raising[rows[k]] else 'sale-lower'}"))
+        if error is not None:
+            raise error
+    return PropertyReport(name, variant, tested, tuple(violations), decided)
 
 
 def check_same_side(u: FirmUtility, variant: str, pairs: Iterable[Pair],
                     eps_tie: float = EPS_TIE) -> PropertyReport:
     return _run_pairs(u, "same-side-substitutability", variant, pairs, eps_tie,
-                      _SSS, single_only=variant == "weak",
+                      [_same_side], single_only=variant == "weak",
                       contraction=variant == "contraction")
 
 
 def check_cross_side(u: FirmUtility, variant: str, pairs: Iterable[Pair],
                      eps_tie: float = EPS_TIE) -> PropertyReport:
     return _run_pairs(u, "cross-side-complementarity", variant, pairs, eps_tie,
-                      _CSC, single_only=variant == "weak",
+                      [_cross_side], single_only=variant == "weak",
                       contraction=variant == "contraction")
 
 
@@ -260,26 +282,18 @@ def check_aggregate_law(u: FirmUtility, law: str, variant: str,
     The demand law constrains pairs that move purchase prices; the supply
     law constrains sale-price moves.  Pairs from the other side are skipped.
     """
-    relevant = "purchase-raise" if law == "demand" else "sale-lower"
-
-    def filtered():
-        for p, p2 in pairs:
-            if _pair_side(u, p, p2) == relevant:
-                yield p, p2
-
-    return _run_pairs(u, f"aggregate-law-of-{law}", variant, filtered(),
-                      eps_tie, _LAD, single_only=variant == "weak",
-                      contraction=False)
+    return _run_pairs(u, f"aggregate-law-of-{law}", variant, pairs, eps_tie,
+                      [_aggregate_law], single_only=variant == "weak",
+                      side="purchase-raise" if law == "demand" else "sale-lower")
 
 
 def check_full_substitutability(u: FirmUtility, variant: str,
                                 pairs: Iterable[Pair],
                                 eps_tie: float = EPS_TIE) -> PropertyReport:
     """Same-side and cross-side clauses with a shared witness per bundle."""
-    report = _run_pairs(u, "full-substitutability", variant, pairs, eps_tie,
-                        _SSS + _CSC, single_only=variant == "weak",
-                        contraction=variant == "contraction")
-    return report
+    return _run_pairs(u, "full-substitutability", variant, pairs, eps_tie,
+                      [_same_side, _cross_side], single_only=variant == "weak",
+                      contraction=variant == "contraction")
 
 
 def check_monotone_substitutability(u: FirmUtility, pairs: Iterable[Pair],
@@ -287,26 +301,16 @@ def check_monotone_substitutability(u: FirmUtility, pairs: Iterable[Pair],
     """One witness satisfying same-side, cross-side, and the aggregate-law
     inequality simultaneously."""
     return _run_pairs(u, "monotone-substitutability", "strong", pairs, eps_tie,
-                      _SSS + _CSC + _LAD, single_only=False, contraction=False)
+                      [_same_side, _cross_side, _aggregate_law])
 
 
 def check_single_improvement(u: FirmUtility, pairs: Iterable[Pair],
                              eps_tie: float = EPS_TIE) -> PropertyReport:
     """Every newly demanded bundle is reachable from an old one by adding at
-    most one trade on each side and dropping at most one on each side."""
-    def clause(u, side, p, p2, psi, psi2):
-        net = u.network
-        up, down = partition_bundle(net, u.firm, psi)
-        up2, down2 = partition_bundle(net, u.firm, psi2)
-        return ((up & ~up2).bit_count() + (down2 & ~down).bit_count() <= 1
-                and (up2 & ~up).bit_count() + (down & ~down2).bit_count() <= 1)
-
-    for p, p2 in pairs:
-        diff = sum(1 for a, b in zip(p.values, p2.values) if a != b)
-        if diff > 1:
-            raise PatternViolation("single-improvement pairs move one coordinate")
+    most one trade on each side and dropping at most one on each side.
+    Each block of pairs is checked to move one coordinate before it runs."""
     return _run_pairs(u, "single-improvement", "strong", pairs, eps_tie,
-                      [clause], single_only=False, contraction=False)
+                      [_single_improvement], one_move=True)
 
 
 def check_nib(u: FirmUtility, grid: Iterable[PriceVector],
@@ -329,7 +333,7 @@ def check_nib(u: FirmUtility, grid: Iterable[PriceVector],
                     f"no isolation witness for "
                     f"{sorted(u.network.ids_of(bundle))}"))
     return PropertyReport("no-isolated-bundles", "sampled", tested,
-                          tuple(violations))
+                          tuple(violations), tested)
 
 
 def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
@@ -380,4 +384,4 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
         if len(violations) > 20:
             break
     return PropertyReport(f"bounded-{kind.lower()}", "sampled", samples,
-                          tuple(violations))
+                          tuple(violations), samples)

@@ -7,6 +7,7 @@ arithmetic and argmax code never see NaN or -inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -16,6 +17,7 @@ from . import expr as ex
 from .errors import (
     AllInfeasible,
     BundleOutOfScope,
+    NonFiniteUtility,
     NonMonotoneExpr,
     NotTerminalBuyer,
     NotUnitDemand,
@@ -86,10 +88,38 @@ class FirmUtility:
         return fn
 
     def value(self, mask: int, values: tuple[float, ...]):
-        """Utility at a price tuple, or INFEASIBLE."""
+        """Utility at a price tuple, or INFEASIBLE.  A value that is not
+        finite, or an expression outside its domain (sqrt of a negative
+        number), raises ``NonFiniteUtility``."""
         if mask not in self.table:
             return INFEASIBLE
-        return self.scalar_fn(mask)(values)
+        try:
+            v = self.scalar_fn(mask)(values)
+            if math.isfinite(v):
+                return v
+        except (ValueError, ArithmeticError):
+            pass
+        raise NonFiniteUtility(f"a utility is not finite at prices {values}")
+
+    def value_matrix(self, points: np.ndarray) -> np.ndarray:
+        """``V[r, j]``: the utility of the j-th feasible bundle (ascending
+        masks) at row r of the 2-D price array ``points``, from the vector
+        closures.  A value that is not finite raises ``NonFiniteUtility``,
+        whose ``row`` is the first row holding one."""
+        columns = list(points.T)
+        masks = self.feasible_masks()
+        v = np.empty((len(points), len(masks)))
+        # closures may overflow or leave their domain; checked below
+        with np.errstate(all="ignore"):
+            for j, mask in enumerate(masks):
+                v[:, j] = self.vector_fn(mask)(columns)
+        finite = np.isfinite(v).all(1)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise NonFiniteUtility(
+                f"a utility is not finite at prices {tuple(points[row].tolist())}",
+                row)
+        return v
 
 
 def eval_utility(u: FirmUtility, bundle: int | Iterable[str], p: PriceVector):

@@ -100,6 +100,26 @@ def test_check_exit_codes(capsys):
     assert "pass-on-sample" in capsys.readouterr().out
 
 
+def test_check_non_finite_utility_is_an_error(tmp_path, capsys):
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({
+        "version": 1, "kind": "network",
+        "trades": [{"id": "a", "seller": "s", "buyer": "b"}],
+        "utilities": {
+            "s": [{"bundle": [], "expr": "0"}, {"bundle": ["a"], "expr": "p[a]"}],
+            "b": [{"bundle": [], "expr": "0"},
+                  {"bundle": ["a"], "expr": "sqrt(p[a] - 1)"}],
+        },
+        "analysis": {"box": [0, 3], "step": 0.25},
+    }))
+    for prop in ("sss", "lad", "monotone-substitutability", "nib"):
+        code = main(["check", str(path), "--firm", "b", "--property", prop])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not finite" in err
+        assert "Traceback" not in err
+
+
 def test_lattice_command_star(capsys):
     code = main(["lattice", scenario("star.json")])
     out = capsys.readouterr().out

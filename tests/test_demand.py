@@ -5,7 +5,6 @@ from netclear.demand import (
     demand_invariance_check,
     demand_set,
     indirect_utility,
-    is_single_valued,
     joint_tiebreak_selection,
     nib_witness,
 )
@@ -32,7 +31,7 @@ def test_star_demand_at_symmetric_prices():
         frozenset({"a1", "a2", "b1", "b2"}),
     }
     assert d.indirect == pytest.approx(2.0)
-    assert not is_single_valued(d)
+    assert not d.single_valued
 
 
 def test_star_demand_after_purchase_discount():
@@ -58,7 +57,7 @@ def test_three_supplier_single_valued_points():
     u = three_supplier_buyer()
     d1 = demand_set(u, PriceVector(u.network, (0.0, 1.0, 0.0)))
     d2 = demand_set(u, PriceVector(u.network, (1.0, 0.0, 0.0)))
-    assert is_single_valued(d1) and is_single_valued(d2)
+    assert d1.single_valued and d2.single_valued
     assert bundles_of(u, d1) == {frozenset({"w1", "w2"})}
     assert bundles_of(u, d2) == {frozenset({"w1", "w2"})}
 

@@ -180,3 +180,29 @@ def test_exhaustive_pairs_respect_pattern():
             exhaustive_pattern_pairs(u, (0, 1), 0.5, "purchase-raise"), 200):
         assert all(b >= a for a, b in zip(p.values, p2.values))
         assert p.values != p2.values
+
+
+def test_single_improvement_reads_an_iterator():
+    # validating the pairs must not exhaust an iterator before they are tested
+    u = kinked_pair_buyer()
+    n = u.network
+    levels = [0.25 * k for k in range(13)]
+    pairs = [(PriceVector(n, (a, b)),
+              PriceVector(n, (a + 0.25 * (i == 0), b + 0.25 * (i == 1))))
+             for a, b in itertools.product(levels, repeat=2) for i in (0, 1)][:300]
+    listed = check_single_improvement(u, pairs)
+    streamed = check_single_improvement(u, iter(pairs))
+    assert listed.pairs_tested == streamed.pairs_tested == 300
+    assert streamed == listed
+
+
+def test_weak_variant_counts_decided_pairs():
+    # the pairs of `netclear check` on the star intermediary
+    u = star_intermediary()
+    pairs = []
+    for side in ("purchase-raise", "sale-lower"):
+        pairs += grid_pattern_pairs(u, (-1, 3), 0.25, side, count=200, seed=42)
+    weak = check_same_side(u, "weak", pairs)
+    assert (weak.pairs_tested, weak.pairs_decided) == (400, 333)
+    strong = check_same_side(u, "expansion", pairs)
+    assert strong.pairs_tested == strong.pairs_decided == 400
