@@ -97,7 +97,9 @@ class FirmUtility:
             v = self.scalar_fn(mask)(values)
             if math.isfinite(v):
                 return v
-        except (ValueError, ArithmeticError):
+        # math domain errors, overflow, division by zero, and the complex
+        # number a negative base to a fractional power gives
+        except (ValueError, ArithmeticError, TypeError):
             pass
         raise NonFiniteUtility(f"a utility is not finite at prices {values}")
 

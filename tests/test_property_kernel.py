@@ -246,6 +246,7 @@ def subject_pairs(name):
         if mask:
             pairs += grid_pattern_pairs(u, box, step, side, 200, seed=42)
             pairs += itertools.islice(exhaustive_pattern_pairs(u, box, step, side), 60)
+    random.Random(name).shuffle(pairs)  # blocks mix both sides
     return u, pairs, one_move_pairs(u, box, step, 80, seed=6)
 
 

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from netclear.errors import (
     AllInfeasible,
     BundleOutOfScope,
+    NonFiniteUtility,
     NonMonotoneExpr,
     NotTerminalBuyer,
     NotUnitDemand,
@@ -183,3 +185,22 @@ def test_check_monotonicity_pass_and_fail():
     report = check_monotonicity(bad, samples=10)
     assert not report.ok
     assert report.violations[0][2] == "sale"
+
+
+@pytest.mark.parametrize("text, good, bad", [
+    ("sqrt(p[a] - 1)", 1.5, 0.0),    # domain error
+    ("(1 - p[a])^0.5", 0.0, 2.0),    # negative base, fractional power
+    ("exp(1000 * p[a])", 0.0, 2.0),  # overflow
+    ("1 / (p[a] - 2)", 0.0, 2.0),    # division by zero
+])
+def test_scalar_and_vector_values_fail_alike(text, good, bad):
+    net = build_network([("a", "s", "b")])
+    u = FirmUtility("b", net, {0: parse_expr("0"), 1: parse_expr(text)})
+    good, bad = (good,), (bad,)
+    matrix = u.value_matrix(np.array([good]))
+    assert matrix.tolist() == [[0.0, u.value(1, good)]]
+    with pytest.raises(NonFiniteUtility):
+        u.value(1, bad)
+    with pytest.raises(NonFiniteUtility) as err:
+        u.value_matrix(np.array([good, good, bad, good]))
+    assert err.value.row == 2
