@@ -116,7 +116,8 @@ class _CompiledProfile:
         self.utilities = profile.firms
         self.network = profile.network
         self.firms = sorted(profile.firms)
-        self._net: dict[int, tuple[int, ...]] = {}
+        self._net: dict[int, dict[str, int]] = {}
+        self._net_vectors: dict[int, tuple[int, ...]] = {}
 
     @cached_property
     def feasible_globals(self) -> list[int]:
@@ -149,9 +150,9 @@ class _CompiledProfile:
 
     def net_vector(self, mask: int) -> tuple[int, ...]:
         """Per-firm net-trade indices of a global bundle, built once per mask."""
-        vec = self._net.get(mask)
+        vec = self._net_vectors.get(mask)
         if vec is None:
-            vec = self._net[mask] = tuple(
+            vec = self._net_vectors[mask] = tuple(
                 net_index(self.network, f, mask) for f in self.firms)
         return vec
 
@@ -205,10 +206,11 @@ class _CompiledProfile:
         best = np.empty((len(points), len(self.firms)))
         for a in range(0, len(points), rows):
             block = points[a:a + rows]
+            columns = list(block.T)
             worst = np.zeros((len(block), globals_))
             ok = np.ones((len(block), globals_), dtype=bool)
             for k, (f, share) in enumerate(zip(self.firms, self.shares)):
-                v = self.utilities[f].value_matrix(block)
+                v = self.utilities[f].value_matrix(columns)
                 top = v.max(1)
                 best[a:a + rows, k] = top
                 np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
@@ -223,8 +225,11 @@ class _CompiledProfile:
         supports = tuple(itertools.compress(self.feasible_globals, fit.tolist()))
         if not supports:
             return None
-        net = dict(zip(self.firms, self.net_vector(supports[0])))
-        return EquilibriumRecord(p, supports, net, z)
+        net = self._net.get(supports[0])
+        if net is None:
+            net = self._net[supports[0]] = dict(
+                zip(self.firms, self.net_vector(supports[0])))
+        return EquilibriumRecord(p, supports, dict(net), z)
 
     def _firm_ok(self, f: str, columns: list[np.ndarray],
                  threshold: float) -> dict[int, np.ndarray]:

@@ -224,10 +224,10 @@ def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
             rows = rows[raising[:end] == (side == "purchase-raise")]
         points = prices[rows].reshape(-1, net.n)
         try:
-            v = u.value_matrix(points)
+            v = u.value_matrix(list(points.T))
         except NonFiniteUtility as err:
             rows, error = rows[:err.row // 2], err
-            v = u.value_matrix(points[:2 * len(rows)])
+            v = u.value_matrix(list(points[:2 * len(rows)].T))
         demand = v >= v.max(1, keepdims=True) - eps_tie
         demand = demand.reshape(len(rows), 2, len(masks))
         at_p, at_q = demand[:, 0], demand[:, 1]

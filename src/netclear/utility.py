@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -103,24 +104,26 @@ class FirmUtility:
             pass
         raise NonFiniteUtility(f"a utility is not finite at prices {values}")
 
-    def value_matrix(self, points: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _vector_fns(self) -> tuple:
+        """The vector closures of the feasible bundles, in ascending mask order."""
+        return tuple(self.vector_fn(mask) for mask in self.feasible_masks())
+
+    def value_matrix(self, columns: list[np.ndarray]) -> np.ndarray:
         """``V[r, j]``: the utility of the j-th feasible bundle (ascending
-        masks) at row r of the 2-D price array ``points``, from the vector
-        closures.  A value that is not finite raises ``NonFiniteUtility``,
+        masks) at row r of the prices given as one column per trade, as the
+        vector closures take them (``list(points.T)`` for a 2-D array of
+        points).  A value that is not finite raises ``NonFiniteUtility``,
         whose ``row`` is the first row holding one."""
-        columns = list(points.T)
-        masks = self.feasible_masks()
-        v = np.empty((len(points), len(masks)))
+        v = np.empty((len(columns[0]), len(self._vector_fns)))
         # closures may overflow or leave their domain; checked below
         with np.errstate(all="ignore"):
-            for j, mask in enumerate(masks):
-                v[:, j] = self.vector_fn(mask)(columns)
-        finite = np.isfinite(v).all(1)
-        if not finite.all():
-            row = int(finite.argmin())
-            raise NonFiniteUtility(
-                f"a utility is not finite at prices {tuple(points[row].tolist())}",
-                row)
+            for j, fn in enumerate(self._vector_fns):
+                v[:, j] = fn(columns)
+        if not np.isfinite(v).all():
+            row = int(np.isfinite(v).all(1).argmin())
+            prices = tuple(float(c[row]) for c in columns)
+            raise NonFiniteUtility(f"a utility is not finite at prices {prices}", row)
         return v
 
 

@@ -197,10 +197,10 @@ def test_scalar_and_vector_values_fail_alike(text, good, bad):
     net = build_network([("a", "s", "b")])
     u = FirmUtility("b", net, {0: parse_expr("0"), 1: parse_expr(text)})
     good, bad = (good,), (bad,)
-    matrix = u.value_matrix(np.array([good]))
+    matrix = u.value_matrix(list(np.array([good]).T))
     assert matrix.tolist() == [[0.0, u.value(1, good)]]
     with pytest.raises(NonFiniteUtility):
         u.value(1, bad)
     with pytest.raises(NonFiniteUtility) as err:
-        u.value_matrix(np.array([good, good, bad, good]))
+        u.value_matrix(list(np.array([good, good, bad, good]).T))
     assert err.value.row == 2
