@@ -143,8 +143,8 @@ class _CompiledProfile:
         out = []
         for f in self.firms:
             u = self.utilities[f]
-            column = {m: k for k, m in enumerate(u.feasible_masks())}
-            out.append(np.array([column[g & u.omega] for g in self.feasible_globals],
+            omega, column = u.omega, {m: k for k, m in enumerate(u.feasible_masks())}
+            out.append(np.array([column[g & omega] for g in self.feasible_globals],
                                 dtype=np.intp))
         return out
 
