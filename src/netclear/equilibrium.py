@@ -143,7 +143,8 @@ class _CompiledProfile:
         out = []
         for f in self.firms:
             u = self.utilities[f]
-            omega, column = u.omega, {m: k for k, m in enumerate(u.feasible_masks())}
+            omega, masks = u.omega, u.feasible_masks()
+            column = {m: k for k, m in enumerate(masks)}
             out.append(np.array([column[g & omega] for g in self.feasible_globals],
                                 dtype=np.intp))
         return out
