@@ -34,6 +34,7 @@ from .demand import (
 from .equilibrium import (
     DescentConfig,
     EquilibriumRecord,
+    EquilibriumSet,
     extremal_equilibria,
     find_equilibria,
     is_equilibrium,

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -266,29 +267,22 @@ _PROPERTIES = {
 
 
 def cmd_check(sc: Scenario, args) -> RunResult:
-    firm = args.firm or sorted(
-        f for f, r in terminal_roles(sc.network).items()
-        if r == "intermediate") or sorted(sc.profile.firms)
-    if isinstance(firm, list):
-        firm = firm[0]
+    firm = args.firm or min((f for f, r in terminal_roles(sc.network).items()
+                             if r == "intermediate"), default=min(sc.profile.firms))
     u = sc.profile.firms[firm]
     if args.property == "nib":
         lo, hi = sc.analysis.box
         levels = np.round(np.arange(lo, hi + sc.analysis.step / 2,
                                     sc.analysis.step), 12)
         rng = np.random.default_rng(sc.analysis.seed)
-        grid = []
-        for _ in range(50):
-            grid.append(PriceVector(sc.network, tuple(
-                float(levels[rng.integers(len(levels))])
-                for _ in range(sc.network.n))))
+        grid = [PriceVector(sc.network, tuple(float(levels[rng.integers(len(levels))])
+                                              for _ in range(sc.network.n)))
+                for _ in range(50)]
         report = check_nib(u, grid, eps_tie=sc.analysis.eps_tie)
     else:
-        pairs = []
-        for side in ("purchase-raise", "sale-lower"):
-            pairs.extend(grid_pattern_pairs(
-                u, sc.analysis.box, sc.analysis.step, side, count=200,
-                seed=sc.analysis.seed))
+        pairs = [pair for side in ("purchase-raise", "sale-lower")
+                 for pair in grid_pattern_pairs(u, sc.analysis.box, sc.analysis.step,
+                                                side, count=200, seed=sc.analysis.seed)]
         report = _PROPERTIES[args.property](u, args.variant, pairs,
                                             sc.analysis.eps_tie)
     lines = [f"{report.name} ({report.variant}) for {firm}: {report.verdict} "
@@ -307,15 +301,11 @@ def cmd_check(sc: Scenario, args) -> RunResult:
 
 
 def _records_payload(sc: Scenario, records) -> list[dict]:
-    out = []
-    for rec in sorted(records, key=lambda r: r.prices.values):
-        out.append({
-            "prices": list(rec.prices.values),
-            "supports": [_ids(sc.network, m) for m in rec.supports],
-            "net_indices": rec.net_indices,
-            "surplus": rec.surplus,
-        })
-    return out
+    return [{"prices": list(rec.prices.values),
+             "supports": [_ids(sc.network, m) for m in rec.supports],
+             "net_indices": rec.net_indices,
+             "surplus": rec.surplus}
+            for rec in sorted(records, key=lambda r: r.prices.values)]
 
 
 def _solve(sc: Scenario, args):
@@ -371,16 +361,12 @@ def cmd_rural(sc: Scenario, args) -> RunResult:
     records = _solve(sc, args)
     payload = {"pairs": []}
     violations = 0
-    for i in range(len(records)):
-        for j in range(i + 1, len(records)):
-            rep = verify_rural_hospitals_pair(sc.profile, records[i],
-                                              records[j], sc.analysis.eps_eq)
-            entry = {"p": list(records[i].prices.values),
-                     "p2": list(records[j].prices.values),
-                     "unmatched": [_ids(sc.network, m) for m in rep.unmatched]}
-            payload["pairs"].append(entry)
-            if not rep.ok:
-                violations += 1
+    for e, e2 in itertools.combinations(records, 2):
+        rep = verify_rural_hospitals_pair(sc.profile, e, e2, sc.analysis.eps_eq)
+        payload["pairs"].append({"p": list(e.prices.values),
+                                 "p2": list(e2.prices.values),
+                                 "unmatched": [_ids(sc.network, m) for m in rep.unmatched]})
+        violations += not rep.ok
     head = (f"rural-hospitals check over {len(records)} equilibria: "
             f"{violations} failing pair(s)")
     return RunResult(0 if violations == 0 else 2, head + "\n", payload)

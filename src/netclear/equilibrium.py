@@ -17,16 +17,16 @@ and combines the per-firm boolean tables by broadcasting (OR over global
 sets of an AND over firms).  Grids beyond ``MAX_GRID_POINTS`` raise
 ``GridTooLarge`` up front instead of scanning without end.
 
-Records are assembled in batches by one kernel,
-``_CompiledProfile.evaluate``: per firm a value matrix ``V_f[points,
-bundles]``, from which come Z, the supports (global sets whose every share
-is within the tie tolerance of the firm's best; these factor by firm
+One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
+``V_f[points, bundles]``, giving Z, the supports (global sets whose every
+share is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.
-``find_equilibria``, ``is_equilibrium`` (a batch of one),
-``extremal_equilibria``, ``verify_lattice_pair``, ``lattice_pairs`` and
-``grid_surplus`` go through it; the scalar ``surplus_at`` remains for
-coordinate descent and ``surplus``.  The compiled caches of a profile are
-built once per profile object and dropped with it.
+``find_equilibria`` returns its rows as an ``EquilibriumSet`` that builds
+a record only when indexed; ``extremal_equilibria`` ranks on the set's
+indirect utilities.  Compiled tables live with their owners (a profile's
+with the profile object, a firm's closures and scan tables with its
+``FirmUtility``), and the feasible global sets are cached by the firms'
+feasible bundles, so misreport profiles reuse their unchanged firms' work.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Sequence
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from . import expr as ex
 from .demand import EPS_TIE
 from .errors import (
     AllInfeasible,
@@ -65,6 +64,8 @@ DEDUP_TOL = 1e-6
 MAX_GRID_POINTS = 10**8
 # default block size of the scan (points) and the record kernel (regret entries)
 BATCH = 1 << 17
+# scan tables kept per firm utility object, oldest dropped first
+SCAN_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -79,29 +80,74 @@ class EquilibriumRecord:
         return self.supports[0]
 
 
+class EquilibriumSet(Sequence):
+    """Records held as the kernel's arrays ``prices[R, n]``, supports
+    ``fit[R, globals]``, ``z[R]`` and indirect utilities ``best[R, firms]``.
+    A record is built when first indexed and then kept; the set equals the
+    list of its records."""
+
+    def __init__(self, cp: "_CompiledProfile", prices: np.ndarray, fit: np.ndarray,
+                 z: np.ndarray, best: np.ndarray, records: list | None = None):
+        self._cp = cp
+        self.prices, self.fit, self.z, self.best = prices, fit, z, best
+        self._records = records or [None] * len(prices)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i: int) -> EquilibriumRecord:
+        rec = self._records[i]
+        if rec is None:
+            p = PriceVector(self._cp.network, tuple(self.prices[i].tolist()))
+            rec = self._records[i] = self._cp.record(p, self.fit[i], float(self.z[i]))
+        return rec
+
+    def __eq__(self, other) -> bool:
+        is_seq = isinstance(other, (list, EquilibriumSet))
+        return list(self) == list(other) if is_seq else NotImplemented
+
+
+def lex_first(prices: np.ndarray, rows: np.ndarray | None = None) -> int:
+    """Index of the first lexicographically smallest price row (where ``rows``)."""
+    idx = np.arange(len(prices)) if rows is None else np.flatnonzero(rows)
+    return int(idx[np.lexsort((idx, *prices[idx].T[::-1]))[0]])
+
+
 def _compatible_supports(network: TradeNetwork,
                          per_firm: dict[str, Sequence[int]]) -> list[int]:
-    """Global bundles whose restriction to each firm lies in that firm's set.
+    """Global bundles whose restriction to each firm lies in that firm's set."""
+    return _joint_sets([(network.omega_mask(f), per_firm[f]) for f in sorted(per_firm)])
 
-    Backtracking over firms: each firm constrains the in/out status of all
-    its trades, and two firms sharing a trade must agree.
-    """
-    firms = sorted(per_firm)
+
+def _joint_sets(scopes: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+    """Backtracking over (omega, bundles) per firm: each firm fixes all its
+    trades, and two firms sharing a trade must agree."""
     results: list[int] = []
 
     def extend(i: int, decided: int, chosen: int):
-        if i == len(firms):
+        if i == len(scopes):
             results.append(chosen)
             return
-        f = firms[i]
-        omega = network.omega_mask(f)
-        for mask in per_firm[f]:
+        omega, masks = scopes[i]
+        for mask in masks:
             if (mask ^ chosen) & omega & decided:
                 continue
             extend(i + 1, decided | omega, chosen | mask)
 
     extend(0, 0, 0)
     return sorted(set(results))
+
+
+@lru_cache(maxsize=256)
+def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]
+                   ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """The feasible global sets and, per firm, the value-matrix column of
+    each set's share, from each firm's (omega, feasible masks) in firm order."""
+    globals_ = tuple(_joint_sets(scopes))
+    if not globals_:
+        raise AllInfeasible("no globally feasible trade set")
+    return globals_, tuple(np.array([masks.index(g & omega) for g in globals_],
+                                    dtype=np.intp) for omega, masks in scopes)
 
 
 class _CompiledProfile:
@@ -116,38 +162,13 @@ class _CompiledProfile:
         self.utilities = profile.firms
         self.network = profile.network
         self.firms = sorted(profile.firms)
-        self._net: dict[int, dict[str, int]] = {}
         self._net_vectors: dict[int, tuple[int, ...]] = {}
-
-    @cached_property
-    def feasible_globals(self) -> list[int]:
-        per_firm = {f: self.utilities[f].feasible_masks()
-                    for f in self.firms}
-        out = _compatible_supports(self.network, per_firm)
-        if not out:
-            raise AllInfeasible("no globally feasible trade set")
-        return out
+        self.feasible_globals, self.shares = _global_tables(tuple(
+            (fu.omega, fu.feasible_masks()) for fu in map(self.utilities.get, self.firms)))
 
     @cached_property
     def price_axes(self) -> dict[str, tuple[int, ...]]:
-        """Trade axes each firm's expressions read (any trade, not just its own)."""
-        index = self.network.index
-        return {f: tuple(sorted({index[t] for e in self.utilities[f].table.values()
-                                 for t in ex.price_refs(e)}))
-                for f in self.firms}
-
-    @cached_property
-    def shares(self) -> list[np.ndarray]:
-        """Per firm: the column of its value matrix holding each feasible
-        global set's share of the firm."""
-        out = []
-        for f in self.firms:
-            u = self.utilities[f]
-            omega, masks = u.omega, u.feasible_masks()
-            column = {m: k for k, m in enumerate(masks)}
-            out.append(np.array([column[g & omega] for g in self.feasible_globals],
-                                dtype=np.intp))
-        return out
+        return {f: self.utilities[f].price_axes for f in self.firms}
 
     def net_vector(self, mask: int) -> tuple[int, ...]:
         """Per-firm net-trade indices of a global bundle, built once per mask."""
@@ -226,24 +247,33 @@ class _CompiledProfile:
         supports = tuple(itertools.compress(self.feasible_globals, fit.tolist()))
         if not supports:
             return None
-        net = self._net.get(supports[0])
-        if net is None:
-            net = self._net[supports[0]] = dict(
-                zip(self.firms, self.net_vector(supports[0])))
-        return EquilibriumRecord(p, supports, dict(net), z)
+        net = dict(zip(self.firms, self.net_vector(supports[0])))
+        return EquilibriumRecord(p, supports, net, z)
 
-    def _firm_ok(self, f: str, columns: list[np.ndarray],
-                 threshold: float) -> dict[int, np.ndarray]:
+    def _firm_ok(self, f: str, columns: list[np.ndarray], threshold: float,
+                 key: tuple) -> dict[int, np.ndarray]:
         """Per bundle of firm f: is its regret at most threshold?
 
         The result broadcasts over the block but only spans the axes f
-        reads.  A NaN anywhere in f's values makes every entry False there.
-        """
+        reads.  The last ``SCAN_TABLES`` are kept on f's utility object by
+        ``key`` (grid axis, threshold, block extent on those axes), so every
+        profile holding the object reuses them.  A non-finite value raises
+        ``NonFiniteUtility``."""
         u = self.utilities[f]
-        masks = u.feasible_masks()
-        vals = [np.asarray(u.vector_fn(m)(columns), dtype=float) for m in masks]
+        ok = u._scan.get(key)
+        if ok is not None:
+            return ok
+        with np.errstate(all="ignore"):
+            vals = [np.asarray(fn(columns), dtype=float) for fn in u._vector_fns]
+        if not all(np.isfinite(v).all() for v in vals):
+            # raises the value matrix's error, naming the block's first bad point
+            u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])
         best = reduce(np.maximum, vals)
-        return {m: best - v <= threshold for m, v in zip(masks, vals)}
+        ok = u._scan[key] = {m: best - v <= threshold
+                             for m, v in zip(u.feasible_masks(), vals)}
+        if len(u._scan) > SCAN_TABLES:
+            del u._scan[next(iter(u._scan))]
+        return ok
 
     def scan_hits(self, axis: np.ndarray, threshold: float,
                   batch: int) -> list[tuple[float, ...]]:
@@ -252,13 +282,14 @@ class _CompiledProfile:
         The grid is cut into blocks of at most ``batch`` points: a run of
         rows on one axis, every later axis whole, every earlier axis fixed.
         A firm's table is rebuilt only when the block moves along an axis
-        it reads.
+        it reads, and not at all when its utility object already holds it.
         """
         n, levels = self.network.n, len(axis)
         lead = next(d for d in range(n) if levels ** (n - 1 - d) <= batch)
         rows = min(levels, max(1, batch // levels ** (n - 1 - lead)))
         omegas = {f: self.utilities[f].omega for f in self.firms}
-        tables: dict[str, tuple[tuple, dict[int, np.ndarray]]] = {}
+        grid = (axis.tobytes(), threshold)
+        tables: dict[str, dict[int, np.ndarray]] = {}
         hits: list[tuple[float, ...]] = []
         for prefix in itertools.product(range(levels), repeat=lead):
             for a in range(0, levels, rows):
@@ -267,13 +298,13 @@ class _CompiledProfile:
                 columns = [axis[s].reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
                            for d, s in enumerate(block)]
                 for f in self.firms:
-                    key = tuple(block[d].start for d in self.price_axes[f])
-                    if f not in tables or tables[f][0] != key:
-                        tables[f] = (key, self._firm_ok(f, columns, threshold))
+                    key = grid + tuple((block[d].start, block[d].stop)
+                                       for d in self.price_axes[f])
+                    tables[f] = self._firm_ok(f, columns, threshold, key)
                 hit = np.zeros([c.size for c in columns], dtype=bool)
                 for g in self.feasible_globals:
                     hit |= reduce(np.logical_and,
-                                  (tables[f][1][g & omegas[f]] for f in self.firms))
+                                  (tables[f][g & omegas[f]] for f in self.firms))
                 idx = np.argwhere(hit) + [s.start or 0 for s in block]
                 hits.extend(map(tuple, axis[idx].tolist()))
         return hits
@@ -307,7 +338,7 @@ def _check_inputs(records: Sequence[EquilibriumRecord], eps_eq: float) -> None:
             raise NotAnEquilibriumInput(rec.prices.values)
 
 
-def surplus(u: UtilityProfile, p: PriceVector, eps_tie: float = EPS_TIE) -> float:
+def surplus(u: UtilityProfile, p: PriceVector) -> float:
     """Z(p): zero exactly at equilibrium prices, positive elsewhere."""
     return _compiled(u).surplus_at(p.values)
 
@@ -390,7 +421,7 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
                     eps_eq: float = EPS_EQ,
                     eps_tie: float = EPS_TIE,
                     trigger: float | None = None,
-                    batch: int = BATCH) -> list[EquilibriumRecord]:
+                    batch: int = BATCH) -> EquilibriumSet:
     """Grid-scan Z over the box, refine near-zero points, verify survivors.
 
     The scan keeps the grid points where Z <= ``trigger``, in row-major
@@ -401,10 +432,12 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     points raises ``GridTooLarge`` before anything is allocated.
 
     One call of the record kernel (``_CompiledProfile.evaluate``) gives
-    exact Z and the supports of every candidate; candidates with Z <=
-    ``eps_eq`` become records directly.  The rest start a coordinate
-    descent on scalar Z (when ``refine``), and the refined points that
-    survive deduplication go through one more kernel call.
+    exact Z, the supports and the indirect utilities of every candidate;
+    candidates with Z <= ``eps_eq`` are kept directly.  The rest start a
+    coordinate descent on scalar Z (when ``refine``), and the refined points
+    that survive deduplication go through one more kernel call.  The kept
+    rows with a support make the returned ``EquilibriumSet``, whose records
+    are built only when indexed.
 
     Completeness is relative to the grid: connected equilibrium continua come
     back as the grid points (plus descent refinements) that hit them, after
@@ -412,19 +445,21 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     """
     n = u.network.n
     axis = _grid_axis(box, step, n)
+    cp = _compiled(u)
     if n == 0:
-        p0 = PriceVector(u.network, ())
-        return [EquilibriumRecord(p0, (0,), {}, 0.0)]
+        # no trades and so no firms: one record at the empty price vector
+        return EquilibriumSet(cp, np.empty((1, 0)), np.ones((1, 1), dtype=bool),
+                              np.zeros(1), np.empty((1, 0)))
     if refine is True:
         refine = DescentConfig(initial_step=step / 2)
     elif refine is False:
         refine = None
     if trigger is None:
         trigger = step / 2 if refine is not None else eps_eq
-    cp = _compiled(u)
     candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
+    points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
-    z, fit, _ = cp.evaluate(candidates, support_tie, batch)
+    z, fit, best = cp.evaluate(points, support_tie, batch)
     # (point, its row in the kernel output, or None once refined)
     found: list[tuple[tuple[float, ...], int | None]] = []
     for i, cand in enumerate(candidates):
@@ -445,15 +480,17 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
                 continue
             seen[len(kept)] = point
             kept.append((point, row))
+    # refined points follow the candidates in the kernel arrays
     fresh = [point for point, row in kept if row is None]
-    refined_rows = zip(*cp.evaluate(fresh, support_tie, batch)[:2])
-    records = []
-    for point, row in kept:
-        zr, fit_row = (z[row], fit[row]) if row is not None else next(refined_rows)
-        rec = cp.record(PriceVector(u.network, point), fit_row, zr)
-        if rec is not None:
-            records.append(rec)
-    return records
+    if fresh:
+        zr, fitr, bestr = cp.evaluate(fresh, support_tie, batch)
+        points = np.vstack([points, fresh])
+        z, fit, best = z + zr, np.vstack([fit, fitr]), np.vstack([best, bestr])
+    count = itertools.count(len(candidates))
+    rows = np.array([next(count) if row is None else row for _point, row in kept],
+                    dtype=np.intp)
+    rows = rows[fit[rows].any(1)]
+    return EquilibriumSet(cp, points[rows], fit[rows], np.array(z)[rows], best[rows])
 
 
 # -- theorem verification ----------------------------------------------------
@@ -491,20 +528,10 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
     def mixed_support(target: EquilibriumRecord | None, for_join: bool):
         if target is None:
             return None
-        ok = False
-        n = u.network.n
-        for xi in e.supports:
-            for xi2 in e2.supports:
-                mask = 0
-                for i in range(n):
-                    a, b = e.prices.values[i], e2.prices.values[i]
-                    take_first = a >= b if for_join else a <= b
-                    src = xi if take_first else xi2
-                    if src >> i & 1:
-                        mask |= 1 << i
-                if mask in target.supports:
-                    ok = True
-        return ok
+        first = sum(1 << i for i, (a, b) in enumerate(zip(e.prices.values, e2.prices.values))
+                    if (a >= b if for_join else a <= b))
+        return any((xi & first) | (xi2 & ~first) in target.supports
+                   for xi in e.supports for xi2 in e2.supports)
 
     return LatticeReport(join.values, meet.values, join_rec, meet_rec,
                          mixed_support(join_rec, True),
@@ -553,15 +580,9 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
     _check_inputs((e, e2), eps_eq)
     vec = _compiled(u).net_vector
     other = {vec(m): m for m in e2.supports}
-    matched = []
-    unmatched = []
-    for m in e.supports:
-        v = vec(m)
-        if v in other:
-            matched.append((m, other[v]))
-        else:
-            unmatched.append(m)
-    return RuralHospitalsReport(tuple(matched), tuple(unmatched))
+    pairs = [(m, other.get(vec(m))) for m in e.supports]
+    return RuralHospitalsReport(tuple(p for p in pairs if p[1] is not None),
+                                tuple(m for m, match in pairs if match is None))
 
 
 @dataclass(frozen=True)
@@ -581,25 +602,29 @@ def extremal_equilibria(u: UtilityProfile,
     An optimum must make EVERY terminal seller (resp. buyer) weakly best off
     simultaneously; when no record dominates, the corresponding slot is None
     (theorem-hypothesis failure, reported rather than raised).  Ties break
-    lexicographically on prices.  Indirect utilities are the row maxima of
-    the record kernel's value matrices, one call over all records; a record
-    dominates when it is within 1e-9 of every column maximum.  The
-    coordinatewise max (min) exists when some record is within 1e-12 of the
-    column maxima (minima) of all prices.
+    lexicographically on prices, then by position in ``found``.  Indirect
+    utilities are the set's ``best`` array, which an ``EquilibriumSet`` of
+    u already holds and a plain sequence of records gets from one kernel
+    call; a record dominates when it is within 1e-9 of every column maximum.
+    The coordinatewise max (min) exists when some record is within 1e-12 of
+    the column maxima (minima) of all prices.
     """
     if not found:
         raise EmptySet("no equilibria to compare")
     roles = terminal_roles(u.network)
-    ordered = sorted(found, key=lambda r: r.prices.values)
     cp = _compiled(u)
-    prices = np.array([rec.prices.values for rec in ordered])
-    _z, _fit, best = cp.evaluate(prices, EPS_TIE)
+    if not (isinstance(found, EquilibriumSet) and found._cp is cp):
+        prices = np.array([rec.prices.values for rec in found], dtype=float)
+        prices = prices.reshape(len(found), u.network.n)
+        z, fit, best = cp.evaluate(prices, EPS_TIE)
+        found = EquilibriumSet(cp, prices, fit, np.array(z), best, list(found))
+    prices = found.prices
 
     def dominant(role: str) -> EquilibriumRecord | None:
         """First record achieving every group member's maximum simultaneously."""
-        utilities = best[:, [k for k, f in enumerate(cp.firms) if roles[f] == role]]
+        utilities = found.best[:, [k for k, f in enumerate(cp.firms) if roles[f] == role]]
         ok = (utilities >= utilities.max(0) - 1e-9).all(1)
-        return ordered[int(ok.argmax())] if ok.any() else None
+        return found[lex_first(prices, ok)] if ok.any() else None
 
     seller_opt = dominant("terminal-seller")
     buyer_opt = dominant("terminal-buyer")

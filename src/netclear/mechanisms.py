@@ -14,6 +14,7 @@ from .equilibrium import (
     EquilibriumRecord,
     extremal_equilibria,
     find_equilibria,
+    lex_first,
 )
 from .errors import InfeasibleAllocation, NoEquilibriumFound, NotTerminalBuyers
 from .model import PriceVector, terminal_roles
@@ -51,7 +52,8 @@ def buyer_optimal_mechanism(u: UtilityProfile,
 
     Falls back to the lexicographically smallest price vector if no record
     dominates for all buyers (hypothesis failure; flagged by rule suffix).
-    Designated support is the lowest bundle in bitset order.
+    Designated support is the lowest bundle in bitset order.  Both choices
+    read the found set's arrays; only the chosen record is built.
     """
     found = find_equilibria(u, search.box, search.step, refine=search.refine,
                             eps_eq=search.eps_eq, eps_tie=search.eps_tie)
@@ -61,7 +63,7 @@ def buyer_optimal_mechanism(u: UtilityProfile,
     rule = "buyer-optimal"
     rec = report.buyer_optimal
     if rec is None:
-        rec = min(found, key=lambda r: r.prices.values)
+        rec = found[lex_first(found.prices)]
         rule = "buyer-optimal/fallback-lex-min"
     bundle = rec.designated_support
     alloc = {t.id: rec.prices.values[i]
@@ -114,6 +116,8 @@ class ManipulationReport:
     tried: int
     all_gain: Deviation | None  # every member strictly better off
     some_gain: tuple[Deviation, ...]  # diagnostics: at least one member gains
+    skipped: int = 0  # misreports dropped because they had no equilibrium
+    fallbacks: int = 0  # outcomes, truthful included, from the lex-min fallback
 
     @property
     def ok(self) -> bool:
@@ -128,7 +132,10 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
                         gain_tol: float = 1e-9) -> ManipulationReport:
     """Scan joint misreports drawn from the truncation and single-trade
     uplift families; a violation needs EVERY coalition member to strictly
-    gain under their true utilities."""
+    gain under their true utilities.  Firms outside the coalition are the
+    same objects in every misreport profile, so their compiled tables are
+    reused.  Misreports without an equilibrium are counted in ``skipped``.
+    """
     roles = terminal_roles(u_true.network)
     for f in coalition:
         if roles.get(f) != "terminal-buyer" or not is_unit_demand(u_true.firms[f]):
@@ -139,6 +146,7 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
     truthful = mech(u_true, search)
     base = {f: _utility_of(u_true.firms[f], truthful.bundle, truthful.prices)
             for f in coalition}
+    fallbacks = int(truthful.rule.endswith("fallback-lex-min"))
 
     def member_options(f: str):
         fu = u_true.firms[f]
@@ -147,7 +155,7 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
         opts.extend(uplift_reports(fu, uplift_amounts))
         return opts
 
-    tried = 0
+    tried = skipped = 0
     all_gain = None
     some_gain = []
     for combo in itertools.product(*(member_options(f) for f in coalition)):
@@ -159,7 +167,9 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
         try:
             outcome = mech(reported, search)
         except NoEquilibriumFound:
+            skipped += 1
             continue
+        fallbacks += outcome.rule.endswith("fallback-lex-min")
         deltas = {
             f: _utility_of(u_true.firms[f], outcome.bundle, outcome.prices)
             - base[f]
@@ -171,4 +181,4 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
         if any(d > gain_tol for d in deltas.values()) and len(some_gain) < 10:
             some_gain.append(dev)
     return ManipulationReport(tuple(coalition), tried, all_gain,
-                              tuple(some_gain))
+                              tuple(some_gain), skipped, fallbacks)

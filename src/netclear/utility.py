@@ -53,6 +53,8 @@ class FirmUtility:
     table: Mapping[int, ex.Expr]
     _scalar: dict = field(default_factory=dict, compare=False, repr=False)
     _vector: dict = field(default_factory=dict, compare=False, repr=False)
+    # grid-scan tables, filled by the equilibrium scan (bounded there)
+    _scan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.firm not in self.network.firms:
@@ -72,6 +74,13 @@ class FirmUtility:
 
     def feasible_masks(self) -> tuple[int, ...]:
         return tuple(sorted(self.table))
+
+    @cached_property
+    def price_axes(self) -> tuple[int, ...]:
+        """Trade axes the expressions read (any trade, not just the firm's)."""
+        index = self.network.index
+        return tuple(sorted({index[t] for e in self.table.values()
+                             for t in ex.price_refs(e)}))
 
     def scalar_fn(self, mask: int):
         fn = self._scalar.get(mask)
@@ -191,7 +200,8 @@ def make_unit_demand(firm: str, network: TradeNetwork,
     """Unit-demand terminal buyer: outside option plus one singleton per trade.
 
     Each expression must be strictly decreasing in its own trade's price
-    (sampled check over a coarse range).
+    (sampled check over a coarse range); a sample outside its domain raises
+    ``NonFiniteUtility``.
     """
     roles = terminal_roles(network)
     if roles.get(firm) != "terminal-buyer":
@@ -206,8 +216,13 @@ def make_unit_demand(firm: str, network: TradeNetwork,
             raise BundleOutOfScope(
                 f"expression for {tid} references other trades: {sorted(refs)}")
         samples = np.linspace(-10.0, 10.0, monotonicity_samples)
-        vals = [ex.eval_expr(e, {tid: s}) for s in samples]
-        if not all(b < a for a, b in zip(vals, vals[1:])):
+        with np.errstate(all="ignore"):  # the closure reads only tid's column
+            fn = ex.compile_expr(e, network.index, vectorized=True)
+            vals = np.broadcast_to(fn([samples] * network.n), samples.shape)
+        if not np.isfinite(vals).all():
+            raise NonFiniteUtility(f"expression for {tid} is not finite at price "
+                                   f"{samples[np.isfinite(vals).argmin()]}")
+        if not (np.diff(vals) < 0).all():
             raise NonMonotoneExpr(f"expression for {tid} is not decreasing")
         table[mask] = e
     return FirmUtility(firm, network, table)

@@ -120,6 +120,36 @@ def test_check_non_finite_utility_is_an_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_solve_scan_outside_the_domain_is_an_error(tmp_path, capsys):
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({
+        "version": 1, "kind": "network",
+        "trades": [{"id": "a", "seller": "s", "buyer": "b"}],
+        "utilities": {
+            "s": [{"bundle": [], "expr": "0"}, {"bundle": ["a"], "expr": "p[a]"}],
+            "b": [{"bundle": [], "expr": "0"},
+                  {"bundle": ["a"], "expr": "sqrt(2 - p[a]) - 0.5"}],
+        },
+        "analysis": {"box": [0, 3], "step": 0.25},
+    }))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+    assert captured.out == ""
+
+
+def test_unit_demand_outside_its_domain_is_an_error(tmp_path, capsys):
+    path = tmp_path / "sqrt-doctor.json"
+    raw = json.loads(open(scenario("matching-small.json")).read())
+    raw["doctors"]["d1"]["offers"]["h1"] = "sqrt(1 + t)"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_lattice_command_star(capsys):
     code = main(["lattice", scenario("star.json")])
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from netclear.errors import NoEquilibriumFound, NotTerminalBuyers
@@ -9,7 +11,8 @@ from netclear.mechanisms import (
     truncation_reports,
     uplift_reports,
 )
-from netclear.utility import truncate_at_outside
+from netclear.model import build_network
+from netclear.utility import UtilityProfile, make_quasilinear, truncate_at_outside
 
 CFG = SearchConfig(box=(-0.5, 4.5), step=0.5)
 
@@ -98,6 +101,54 @@ def test_manipulation_search_empty_coalition():
     u = two_by_two()
     rep = manipulation_search(u, [], CFG)
     assert rep.ok and rep.tried == 0
+    assert rep.skipped == rep.fallbacks == 0
+
+
+def rerun_misreports(u, coalition, cfg, levels, uplifts):
+    """(misreports with no equilibrium, outcomes from the fallback rule,
+    the truthful one included), by running the mechanism on each."""
+    options = [[("truthful", u.firms[f])]
+               + list(truncation_reports(u.firms[f], levels))
+               + list(uplift_reports(u.firms[f], uplifts)) for f in coalition]
+    skipped, fallbacks = 0, 0
+    for combo in itertools.product(*options):
+        try:
+            out = buyer_optimal_mechanism(
+                u.replace(**{f: fu for f, (_, fu) in zip(coalition, combo)}), cfg)
+        except NoEquilibriumFound:
+            skipped += 1
+            continue
+        fallbacks += out.rule == "buyer-optimal/fallback-lex-min"
+    return skipped, fallbacks
+
+
+def test_manipulation_search_counts_skipped_misreports():
+    # two buyers of equal value: on the integer grid some joint uplifts
+    # have no equilibrium
+    u = assignment_market(1, 2, {(0, 0): 5, (0, 1): 5})
+    cfg = SearchConfig(box=(0.0, 6.0), step=1.0)
+    levels, uplifts = (0.25, 0.75, 1.25, 2.0, 3.0), (0.25, 0.5, 1.0, 1.5, 2.0)
+    rep = manipulation_search(u, ["b0", "b1"], cfg, levels, uplifts)
+    assert rep.ok and rep.tried == 120
+    assert (rep.skipped, rep.fallbacks) == rerun_misreports(
+        u, ["b0", "b1"], cfg, levels, uplifts) == (13, 0)
+
+
+def test_manipulation_search_counts_fallbacks():
+    # the seller sells both trades or neither: no record is best for both
+    # buyers, so the truthful outcome takes the lex-min fallback
+    net = build_network([("a", "s", "b1"), ("c", "s", "b2")])
+    u = UtilityProfile(net, {
+        "s": make_quasilinear("s", net, {0: 0.0, net.mask_of(["a", "c"]): -2.0}),
+        "b1": make_quasilinear("b1", net, {0: 0.0, net.mask_of(["a"]): 2.0}),
+        "b2": make_quasilinear("b2", net, {0: 0.0, net.mask_of(["c"]): 2.0}),
+    })
+    cfg = SearchConfig(box=(0.0, 3.0), step=0.5)
+    levels, uplifts = (0.5, 1.5), (0.5,)
+    rep = manipulation_search(u, ["b1"], cfg, levels, uplifts)
+    skipped, fallbacks = rerun_misreports(u, ["b1"], cfg, levels, uplifts)
+    assert (rep.tried, rep.skipped, rep.fallbacks) == (3, skipped, fallbacks)
+    assert fallbacks > 0
 
 
 def test_truncation_cannot_help_single_buyer():

@@ -4,7 +4,9 @@ and for the verifiers and CLI paths built on it.
 The kernel must give, row by row, the scalar exact surplus, the supports
 that the per-firm scalar demand sets admit, and the scalar indirect
 utilities, whatever the block size.  The extremal ranking and the
-``lattice`` command must agree with their per-record and per-pair forms.
+``lattice`` command must agree with their per-record and per-pair forms,
+the array-backed ``EquilibriumSet`` and the mechanism with the list of
+records they replace, and the per-firm caches with fresh compilation.
 """
 
 import csv
@@ -25,9 +27,14 @@ from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
     _COMPILED,
     EPS_EQ,
+    SCAN_TABLES,
+    DescentConfig,
+    EquilibriumRecord,
+    EquilibriumSet,
     ExtremalReport,
     _compatible_supports,
     _compiled,
+    _coordinate_descent,
     _CompiledProfile,
     extremal_equilibria,
     find_equilibria,
@@ -38,8 +45,14 @@ from netclear.equilibrium import (
 )
 from netclear.errors import NonFiniteUtility, NotAnEquilibriumInput
 from netclear.instances import assignment_market, star_market
+from netclear.mechanisms import SearchConfig, buyer_optimal_mechanism
 from netclear.model import PriceVector, build_network, terminal_roles
-from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear
+from netclear.utility import (
+    FirmUtility,
+    UtilityProfile,
+    make_quasilinear,
+    truncate_at_outside,
+)
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SUPPORT_TIE = max(EPS_TIE, 10 * EPS_EQ)
@@ -410,3 +423,186 @@ def test_solve_csv_matches_scalar_surplus(tmp_path, capsys):
     for row, point in zip(rows[1:], points):
         assert tuple(map(float, row[:-1])) == point
         assert float(row[-1]) == pytest.approx(cp.surplus_at(point), abs=1e-12)
+
+
+# -- array-backed equilibrium sets and the mechanism on them ----------------------
+
+def record_list(u, box, step, refine):
+    """The list form of ``find_equilibria``: every kept point becomes a
+    record at once, each through its own kernel call on an uncached
+    compiled profile."""
+    cp = _CompiledProfile(u)
+    cfg = DescentConfig(initial_step=step / 2) if refine else None
+    records, kept = [], []
+    for cand in cp.scan_hits(grid(box, step), (step / 2 if refine else EPS_EQ) + 1e-15,
+                             1 << 17):
+        point, (z,) = cand, cp.evaluate([cand], SUPPORT_TIE)[0]
+        if z > EPS_EQ:
+            if cfg is None:
+                continue
+            point, z = _coordinate_descent(cp, cand, cfg, EPS_EQ)
+            if z > EPS_EQ:
+                continue
+        if any(max(abs(a - b) for a, b in zip(point, q)) <= 1e-6 for q in kept):
+            continue
+        kept.append(point)
+        (z,), (fit,), _ = cp.evaluate([point], SUPPORT_TIE)
+        rec = cp.record(PriceVector(u.network, point), fit, z)
+        if rec is not None:
+            records.append(rec)
+    return records
+
+
+def tied_market(seed):
+    rng = random.Random(seed)
+    sellers, buyers = rng.choice([(2, 2), (2, 3), (3, 2)])
+    return assignment_market(sellers, buyers,
+                             {(i, j): rng.choice([1.0, 2.0, 3.0])
+                              for i in range(sellers) for j in range(buyers)})
+
+
+SET_CASES = PROFILES + [(f"tied-{seed}", tied_market(seed), (0.0, 3.0), 0.5)
+                        for seed in range(3)]
+
+
+@pytest.mark.parametrize("name,u,box,step", SET_CASES,
+                         ids=[case[0] for case in SET_CASES])
+def test_equilibrium_set_equals_record_list(name, u, box, step):
+    for refine in (False, True):
+        found = find_equilibria(u, box, step, refine=refine)
+        want = record_list(u, box, step, refine)
+        assert isinstance(found, EquilibriumSet) and len(found) == len(want)
+        for i, rec in enumerate(want):
+            assert found[i] == rec and found[i] is found[i]
+        assert found == want and list(found) == want
+        # the arrays are the kernel's rows at the records' prices
+        assert found.prices.tolist() == [list(rec.prices.values) for rec in want]
+        z, fit, best = _CompiledProfile(u).evaluate(found.prices, SUPPORT_TIE)
+        assert found.z.tolist() == z and np.array_equal(found.fit, fit)
+        assert np.array_equal(found.best, best)
+
+
+def complementary_seller():
+    """A seller who sells both trades or neither: each buyer prefers the
+    record where it pays 0, so no record is best for both."""
+    net = build_network([("a", "s", "b1"), ("c", "s", "b2")])
+    return UtilityProfile(net, {
+        "s": make_quasilinear("s", net, {0: 0.0, net.mask_of(["a", "c"]): -2.0}),
+        "b1": make_quasilinear("b1", net, {0: 0.0, net.mask_of(["a"]): 2.0}),
+        "b2": make_quasilinear("b2", net, {0: 0.0, net.mask_of(["c"]): 2.0}),
+    })
+
+
+MECHANISM_CASES = [(f"assignment-{seed}", random_market(seed), (0.0, 3.0), 0.5)
+                   for seed in range(4)] + [
+    ("tied-0", tied_market(0), (0.0, 3.0), 0.5),
+    ("complementary", complementary_seller(), (0.0, 3.0), 0.5),
+    ("kinked-pair", load_scenario(os.path.join(SCENARIOS, "kinked-pair.json")).profile,
+     (0.0, 3.0), 0.25),
+    ("star", star_market(), (-1.0, 3.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("name,u,box,step", MECHANISM_CASES,
+                         ids=[case[0] for case in MECHANISM_CASES])
+def test_mechanism_matches_record_list(name, u, box, step):
+    for refine in (False, True):
+        found = record_list(u, box, step, refine)
+        rec = extremal_oracle(u, found).buyer_optimal
+        rule = "buyer-optimal"
+        if rec is None:
+            rec = min(found, key=lambda r: r.prices.values)
+            rule = "buyer-optimal/fallback-lex-min"
+        out = buyer_optimal_mechanism(u, SearchConfig(box, step, refine=refine))
+        assert (out.rule, out.record) == (rule, rec)
+        assert out.prices == rec.prices and out.bundle == rec.designated_support
+    if name == "complementary":
+        assert rule.endswith("fallback-lex-min") and rec.prices.values == (0.0, 2.0)
+
+
+def test_mechanism_on_no_trades():
+    net = build_network([])
+    out = buyer_optimal_mechanism(UtilityProfile(net, {}), SearchConfig((0.0, 1.0)))
+    assert out.rule == "buyer-optimal" and out.bundle == 0
+    assert out.record == EquilibriumRecord(PriceVector(net, ()), (0,), {}, 0.0)
+
+
+def test_mechanism_makes_one_kernel_call(monkeypatch):
+    calls = []
+    evaluate = _CompiledProfile.evaluate
+
+    def counted(cp, points, *args):
+        calls.append(len(points))
+        return evaluate(cp, points, *args)
+
+    monkeypatch.setattr(_CompiledProfile, "evaluate", counted)
+    for u in (random_market(0), complementary_seller()):
+        calls.clear()
+        buyer_optimal_mechanism(u, SearchConfig((0.0, 3.0), 0.5))
+        # the scan candidates only: no call on refined points, none for the ranking
+        assert len(calls) == 1 and calls[0] > 0
+
+
+# -- per-firm caches shared across misreport profiles ------------------------------
+
+def test_changed_feasible_masks_get_fresh_globals():
+    u = random_market(1)
+    cp = _compiled(u)
+    # a truncation keeps every mask: the cached tables are shared
+    lying = u.replace(b0=truncate_at_outside(u.firms["b0"], 1.0))
+    assert _compiled(lying).feasible_globals is cp.feasible_globals
+    # dropping a bundle changes the masks of b0
+    fu = u.firms["b0"]
+    dropped = max(fu.table)
+    narrow = u.replace(b0=FirmUtility("b0", u.network, {
+        m: e for m, e in fu.table.items() if m != dropped}))
+    got = _compiled(narrow)
+    want = _compatible_supports(u.network, {f: narrow.firms[f].feasible_masks()
+                                            for f in narrow.firms})
+    assert list(got.feasible_globals) == want != list(cp.feasible_globals)
+    for f, share in zip(got.firms, got.shares):
+        masks, omega = narrow.firms[f].feasible_masks(), narrow.firms[f].omega
+        assert share.tolist() == [masks.index(g & omega) for g in want]
+    assert find_equilibria(narrow, (0.0, 3.0), 0.5) == record_list(narrow, (0.0, 3.0),
+                                                                    0.5, True)
+
+
+def oracle_hits(u, axis, threshold):
+    cp = _CompiledProfile(u)
+    return [p for p in itertools.product(axis.tolist(), repeat=u.network.n)
+            if cp.surplus_at(p) <= threshold]
+
+
+def test_scan_tables_follow_the_firm_object():
+    u = assignment_market(2, 2, {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.5})
+    axis, threshold = grid((0.0, 3.0), 0.5), 0.25 + 1e-15
+    lying = u.replace(b0=truncate_at_outside(u.firms["b0"], 2.0))
+    seller = u.firms["s0"]
+    # one block, and 343 blocks of which each firm keeps the last few
+    for batch in (1 << 17, 7):
+        truthful = _compiled(u).scan_hits(axis, threshold, batch)
+        assert truthful == oracle_hits(u, axis, threshold)
+        # the same firm name with another table must not reuse b0's tables
+        hits = _compiled(lying).scan_hits(axis, threshold, batch)
+        assert hits == oracle_hits(lying, axis, threshold) != truthful
+    # in one block the other firms, the same objects, reuse their table
+    _compiled(u).scan_hits(axis, threshold, 1 << 17)
+    tables = dict(seller._scan)
+    _compiled(lying).scan_hits(axis, threshold, 1 << 17)
+    assert seller._scan.keys() == tables.keys()
+    assert all(seller._scan[k] is v for k, v in tables.items())
+    # at most SCAN_TABLES per firm
+    for k in range(SCAN_TABLES + 2):
+        _compiled(u).scan_hits(axis, threshold + k, 1 << 17)
+    assert len(seller._scan) == SCAN_TABLES
+
+
+def test_scan_tables_are_freed_with_their_firm():
+    u = random_market(2)
+    find_equilibria(u, (0.0, 3.0), 0.5)
+    fu = u.firms["b0"]
+    table = next(iter(next(iter(fu._scan.values())).values()))
+    refs = weakref.ref(table), weakref.ref(_compiled(u))
+    del u, fu, table
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -112,21 +112,24 @@ def test_constant_only_table():
     assert hits == [(p,) for p in grid((0.0, 2.0), 0.25).tolist()]
 
 
-def test_vectorized_nan_drops_the_point():
+def test_vectorized_nan_raises():
     net = build_network([("x", "s", "b")])
     u = UtilityProfile(net, {
         "s": table(net, "s", {(): "0", ("x",): "p[x]"}),
         "b": table(net, "b", {(): "0", ("x",): "sqrt(p[x] - 1)"}),
     })
     cp = _CompiledProfile(u)
-    axis = grid((0.0, 3.0), 0.5)
-    with np.errstate(invalid="ignore"):
-        hits = [cp.scan_hits(axis, 0.25 + 1e-15, batch) for batch in (1, 3, 64)]
-    # the scalar path cannot evaluate sqrt below 1; above it, it decides
-    expected = [(p,) for p in axis.tolist()
-                if p >= 1 and cp.surplus_at((p,)) <= 0.25 + 1e-15]
-    assert hits == [expected] * 3
-    assert (0.5,) not in hits[0]
+    # sqrt is undefined below 1: the scan raises the scalar path's error and
+    # names the first grid point outside the domain
+    for batch in (1, 3, 64):
+        with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0,\)"):
+            cp.scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15, batch)
+    with pytest.raises(NonFiniteUtility):
+        cp.surplus_at((0.5,))
+    # inside the domain it still decides as the scalar path does
+    axis = grid((1.0, 3.0), 0.5)
+    expected = [(p,) for p in axis.tolist() if cp.surplus_at((p,)) <= 0.25 + 1e-15]
+    assert cp.scan_hits(axis, 0.25 + 1e-15, 3) == expected
     assert expected
 
 

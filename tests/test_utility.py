@@ -121,6 +121,30 @@ def test_unit_demand_builder():
         make_unit_demand("x1", n, {"b1": parse_expr("2 - p[b2]")})
 
 
+@pytest.mark.parametrize("text", ["sqrt(1 + p[b1])", "sqrt(1 - p[b1])",
+                                  "1 / p[b1]", "-(p[b1] ^ 0.5)"])
+def test_unit_demand_outside_its_domain_raises(text):
+    with pytest.raises(NonFiniteUtility, match="b1"):
+        make_unit_demand("x1", star_network(), {"b1": parse_expr(text)})
+
+
+@pytest.mark.parametrize("text", ["2 - p[b1]", "p[b1]", "exp(-p[b1])", "1",
+                                  "max(1 - p[b1], 0)", "-(p[b1] ^ 3)",
+                                  "piecewise{ p[b1] <= 0 : -p[b1]; else : 0.5 - p[b1] }"])
+def test_unit_demand_monotonicity_matches_interpreter(text):
+    # the interpreted samples are the oracle for the compiled check
+    from netclear.expr import eval_expr
+
+    e = parse_expr(text)
+    vals = [eval_expr(e, {"b1": s}) for s in np.linspace(-10.0, 10.0, 25)]
+    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
+    try:
+        make_unit_demand("x1", star_network(), {"b1": e})
+        assert decreasing
+    except NonMonotoneExpr:
+        assert not decreasing
+
+
 def test_is_unit_demand_rejects_other_shapes():
     assert not is_unit_demand(star_intermediary())
 
