@@ -39,6 +39,7 @@ from .equilibrium import (
     find_equilibria,
     is_equilibrium,
     lattice_pairs,
+    rural_pairs,
     surplus,
     verify_lattice_pair,
     verify_rural_hospitals_pair,

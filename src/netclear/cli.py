@@ -39,16 +39,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import adapters, expr as ex
+from . import adapters, expr as ex, jsonwriter
 from .demand import EPS_TIE, demand_set
 from .equilibrium import (
     EPS_EQ,
@@ -56,7 +54,7 @@ from .equilibrium import (
     find_equilibria,
     grid_surplus,
     lattice_pairs,
-    verify_rural_hospitals_pair,
+    rural_pairs,
 )
 from .errors import (
     NetclearError,
@@ -225,7 +223,7 @@ def emit_report(result: RunResult, out_dir: str | None, stem: str,
         if "json" in formats:
             p = os.path.join(out_dir, f"{stem}.json")
             with open(p, "w", encoding="utf-8") as fh:
-                json.dump(result.payload, fh, indent=2, sort_keys=True)
+                jsonwriter.dump(result.payload, fh)
                 fh.write("\n")
             written.append(p)
         if "csv" in formats and result.csv_rows is not None:
@@ -332,44 +330,42 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
 
 def cmd_lattice(sc: Scenario, args) -> RunResult:
     records = _solve(sc, args)
-    payload = {"pairs": []}
-    violations = 0
+    pairs = []
     lines = []
     for e, e2, join, meet, join_eq, meet_eq in lattice_pairs(
             sc.profile, records, sc.analysis.eps_eq, sc.analysis.eps_tie):
-        entry = {
-            "p": list(e.prices.values),
-            "p2": list(e2.prices.values),
-            "join": list(join),
-            "meet": list(meet),
+        pairs.append({
+            "p": e.prices.values,
+            "p2": e2.prices.values,
+            "join": join,
+            "meet": meet,
             "join_equilibrium": join_eq,
             "meet_equilibrium": meet_eq,
-        }
-        payload["pairs"].append(entry)
+        })
         if not (join_eq and meet_eq):
-            violations += 1
             lines.append(
-                f"lattice failure: join {entry['join']} equilibrium: "
-                f"{join_eq}, meet {entry['meet']} equilibrium: {meet_eq}")
+                f"lattice failure: join {list(join)} equilibrium: "
+                f"{join_eq}, meet {list(meet)} equilibrium: {meet_eq}")
     head = (f"lattice check over {len(records)} equilibria: "
-            f"{violations} failing pair(s)")
-    return RunResult(0 if violations == 0 else 2,
-                     head + "\n" + "\n".join(lines) + "\n", payload)
+            f"{len(lines)} failing pair(s)")
+    return RunResult(0 if not lines else 2,
+                     head + "\n" + "\n".join(lines) + "\n", {"pairs": pairs})
 
 
 def cmd_rural(sc: Scenario, args) -> RunResult:
     records = _solve(sc, args)
-    payload = {"pairs": []}
+    pairs = []
     violations = 0
-    for e, e2 in itertools.combinations(records, 2):
-        rep = verify_rural_hospitals_pair(sc.profile, e, e2, sc.analysis.eps_eq)
-        payload["pairs"].append({"p": list(e.prices.values),
-                                 "p2": list(e2.prices.values),
-                                 "unmatched": [_ids(sc.network, m) for m in rep.unmatched]})
-        violations += not rep.ok
+    for e, e2, unmatched in rural_pairs(sc.profile, records, sc.analysis.eps_eq):
+        # an empty tuple, unlike a fresh empty list, leaves the entry untracked by gc
+        pairs.append({"p": e.prices.values,
+                      "p2": e2.prices.values,
+                      "unmatched": [_ids(sc.network, m) for m in unmatched]
+                      if unmatched else ()})
+        violations += bool(unmatched)
     head = (f"rural-hospitals check over {len(records)} equilibria: "
             f"{violations} failing pair(s)")
-    return RunResult(0 if violations == 0 else 2, head + "\n", payload)
+    return RunResult(0 if violations == 0 else 2, head + "\n", {"pairs": pairs})
 
 
 def cmd_extremal(sc: Scenario, args) -> RunResult:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -51,7 +51,6 @@ from .errors import (
 from .model import (
     PriceVector,
     TradeNetwork,
-    join_meet,
     join_meet_prices,
     net_index,
     terminal_roles,
@@ -457,6 +456,10 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     if trigger is None:
         trigger = step / 2 if refine is not None else eps_eq
     candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
+    if not candidates:
+        return EquilibriumSet(cp, np.empty((0, n)),
+                              np.empty((0, len(cp.feasible_globals)), dtype=bool),
+                              np.empty(0), np.empty((0, len(cp.firms))))
     points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
     z, fit, best = cp.evaluate(points, support_tie, batch)
@@ -547,18 +550,59 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     order.
 
     The verdicts are those of ``verify_lattice_pair`` without its mixed
-    supports; the distinct join and meet points go through one kernel call.
+    supports.  Join and meet are taken for all pairs at once, as Python's
+    ``max`` and ``min`` take them (e2's price only where it is strictly
+    larger or smaller), so each coordinate keeps its record's exact float.
+    Each distinct point, told apart by bit pattern so that 0.0 and -0.0
+    stay apart, is one tuple shared by its pairs, and the distinct points
+    go through one kernel call.
     """
     _check_inputs(records, eps_eq)
-    pairs = []
-    points: dict[tuple[float, ...], None] = {}
-    for e, e2 in itertools.combinations(records, 2):
-        join, meet = join_meet(e.prices.values, e2.prices.values)
-        points[join] = points[meet] = None
-        pairs.append((e, e2, join, meet))
-    _z, fit, _ = _compiled(u).evaluate(list(points), _support_tie(eps_eq, eps_tie))
-    ok = dict(zip(points, fit.any(1).tolist()))
-    return [(e, e2, join, meet, ok[join], ok[meet]) for e, e2, join, meet in pairs]
+    n = u.network.n
+    prices = np.array([rec.prices.values for rec in records],
+                      dtype=float).reshape(len(records), n)
+    i, j = np.triu_indices(len(records), 1)
+    p, q = prices[i], prices[j]
+    # rows join_0, meet_0, join_1, meet_1, ...
+    both = np.stack([np.where(q > p, q, p), np.where(q < p, q, p)], 1)
+    both = both.reshape(2 * len(i), n)
+    # sort the rows by bit pattern, so that equal points are adjacent
+    bits = both.view(np.int64)
+    order = np.lexsort(bits.T) if n else np.arange(len(bits))
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    point = np.empty_like(order)
+    point[order] = np.cumsum(new) - 1
+    points = both[order[new]]
+    _z, fit, _ = _compiled(u).evaluate(points, _support_tie(eps_eq, eps_tie))
+    ok = fit.any(1).tolist()
+    shared = list(map(tuple, points.tolist()))
+    return [(e, e2, shared[a], shared[b], ok[a], ok[b])
+            for (e, e2), (a, b) in zip(itertools.combinations(records, 2),
+                                       point.reshape(-1, 2).tolist())]
+
+
+def rural_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
+                eps_eq: float = EPS_EQ
+                ) -> Iterator[tuple[EquilibriumRecord, EquilibriumRecord, tuple[int, ...]]]:
+    """(e, e2, unmatched) for every pair of records e before e2, in
+    ``itertools.combinations`` order, where unmatched are the supports of
+    e (in e's order) whose per-firm net-trade indices (purchases minus
+    sales) no support of e2 has.
+
+    The inputs are checked once, when called, and each record's index
+    vectors are built once, so a pair costs one set comparison.
+    """
+    _check_inputs(records, eps_eq)
+    vec = _compiled(u).net_vector
+    keys = []
+    for rec in records:
+        vecs = tuple(map(vec, rec.supports))
+        keys.append((rec, vecs, frozenset(vecs)))
+    return ((e, e2, () if held <= held2
+             else tuple(m for m, v in zip(e.supports, vecs) if v not in held2))
+            for (e, vecs, held), (e2, _, held2) in itertools.combinations(keys, 2))
 
 
 @dataclass(frozen=True)
@@ -575,14 +619,15 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
                                 e2: EquilibriumRecord,
                                 eps_eq: float = EPS_EQ) -> RuralHospitalsReport:
     """Every support of e must have a support of e' with identical per-firm
-    net-trade indices (purchases minus sales); each support's index vector
-    is built once per profile."""
-    _check_inputs((e, e2), eps_eq)
+    net-trade indices: the one pair of ``rural_pairs`` over (e, e'), with
+    each matched support paired with the last support of e' (in mask
+    order) that has its indices."""
+    ((_e, _e2, unmatched),) = rural_pairs(u, (e, e2), eps_eq)
     vec = _compiled(u).net_vector
     other = {vec(m): m for m in e2.supports}
-    pairs = [(m, other.get(vec(m))) for m in e.supports]
-    return RuralHospitalsReport(tuple(p for p in pairs if p[1] is not None),
-                                tuple(m for m, match in pairs if match is None))
+    return RuralHospitalsReport(
+        tuple((m, other[vec(m)]) for m in e.supports if m not in unmatched),
+        unmatched)
 
 
 @dataclass(frozen=True)

@@ -165,29 +165,31 @@ def random_assignment(rng, max_sellers=3, max_buyers=2):
 
 
 def sublattice_and_rural(u, records):
-    """Exact closure and net-index invariance over a grid-complete set."""
+    """Exact closure and net-index invariance over a grid-complete set.
+
+    Prices become integer offsets on the 0.25 grid, and a boolean table over
+    their bounding box marks the found points.  The joins and meets of a
+    block of rows with every later row are looked up in it at once.
+    """
     prices = [r.prices.values for r in records]
     scale = np.round(np.array(prices) / 0.25).astype(np.int64)
-    n = scale.shape[1]
-    base = int(scale.max() - scale.min() + 1)
-    offset = scale - scale.min()
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    keys = np.sort(offset @ weights)
+    offset = scale - scale.min(0)
+    dims = offset.max(0) + 1
+    n = len(dims)
+    weights = np.cumprod(np.append(dims[1:], 1)[::-1])[::-1]
+    member = np.zeros(int(np.prod(dims)), dtype=bool)
+    member[offset @ weights] = True
 
-    def all_members(arr):
-        cand = arr @ weights
-        pos = np.searchsorted(keys, cand)
-        pos = np.minimum(pos, len(keys) - 1)
-        return bool(np.all(keys[pos] == cand))
+    def closed(op, a, b):
+        """Are op's results for rows a:b against rows a: all members?"""
+        keys = sum(op(offset[a:b, None, d], offset[None, a:, d]) * weights[d]
+                   for d in range(n))
+        return bool(member[keys].all())
 
-    closure_ok = True
-    for i in range(len(offset)):
-        if not all_members(np.maximum(offset, offset[i])):
-            closure_ok = False
-            break
-        if not all_members(np.minimum(offset, offset[i])):
-            closure_ok = False
-            break
+    rows = max(1, (1 << 20) // len(offset))
+    closure_ok = all(closed(op, a, a + rows)
+                     for a in range(0, len(offset), rows)
+                     for op in (np.maximum, np.minimum))
 
     firms = sorted(u.firms)
 

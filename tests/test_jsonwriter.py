@@ -1,0 +1,213 @@
+"""Oracle tests for the JSON report writer: ``jsonwriter.dump`` must write
+the bytes of ``json.dump(obj, fh, indent=2, sort_keys=True)`` for every
+payload, raise the same error where it raises, and leave the same partial
+text behind; every CLI report must equal ``json.dump`` of its payload."""
+
+import enum
+import io
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from netclear import jsonwriter
+from netclear.cli import build_parser, emit_report, load_scenario, run_command
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def both(obj):
+    """(text, error) from json.dump and from the writer."""
+    results = []
+    for write in (lambda fh: json.dump(obj, fh, indent=2, sort_keys=True),
+                  lambda fh: jsonwriter.dump(obj, fh)):
+        fh = io.StringIO()
+        try:
+            write(fh)
+            error = None
+        except (TypeError, ValueError) as e:
+            error = (type(e), str(e))
+        results.append((fh.getvalue(), error))
+    return results
+
+
+def assert_same(obj):
+    want, got = both(obj)
+    assert got == want
+    return want
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, 3.0, -2.0, 1e-300, -1e-300, 5e-324, 1e16, 1e17,
+               2.0 ** 53, 0.1, 1 / 3, math.nan, math.inf, -math.inf]
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2, 2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EDGE_FLOATS),
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF,
+                                   blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(["", "a", "é", " ", "\x00\x1f", '"\\/', "\U0001F600"]),
+)
+# subclasses of the scalar types go through json's isinstance tests
+subclass_scalars = st.one_of(st.floats(allow_nan=True).map(np.float64),
+                             st.just(Level.LOW))
+unserializable = st.sampled_from([object(), {1, 2}, b"x", 1j, np.int64(3),
+                                  np.array([1.0])])
+keys = st.one_of(st.text(max_size=4), st.integers(-3, 3),
+                 st.sampled_from([0.5, -0.0, 1.0, math.inf, math.nan]),
+                 st.booleans(), st.none())
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.floats(-2, 2),
+                                  st.booleans()), children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+    )
+
+
+payloads = st.recursive(st.one_of(scalars, subclass_scalars), containers,
+                        max_leaves=40)
+
+
+@st.composite
+def shared_payloads(draw):
+    """A payload with one list object placed at several depths."""
+    shared = draw(st.lists(scalars, min_size=1, max_size=4))
+    inner = draw(payloads)
+    return {"a": shared, "b": [shared, (shared, inner)], "c": {"d": shared},
+            "e": [[shared, [shared]], inner]}
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(payloads)
+def test_writer_matches_json_dump(obj):
+    assert_same(obj)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(shared_payloads())
+def test_writer_matches_json_dump_on_shared_lists(obj):
+    assert_same(obj)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.one_of(payloads, unserializable), min_size=1, max_size=4),
+       st.dictionaries(keys, payloads, max_size=3))
+def test_writer_fails_like_json_dump(items, mapping):
+    assert_same(items)
+    assert_same(mapping)
+    assert_same({"x": items, "y": mapping})
+
+
+def test_signed_zeros_and_equal_numbers_keep_their_text():
+    zero, negzero = [0.0], [-0.0]
+    text, error = assert_same({"a": zero, "b": negzero, "c": [zero, negzero, zero]})
+    assert error is None and "-0.0" in text
+    text, error = assert_same([[1], [1.0], [True], [1], [1.0], [True]])
+    assert text.count("1.0") == 2 and text.count("true") == 2
+
+
+def test_floats_as_json_spells_them():
+    text, error = assert_same([math.nan, math.inf, -math.inf, 1e-300, 1e16, 2.0, -0.0])
+    assert error is None
+    assert ["NaN", "Infinity", "-Infinity", "1e-300", "1e+16", "2.0", "-0.0"] == \
+        [line.strip().rstrip(",") for line in text.splitlines()[1:-1]]
+
+
+def test_keys_are_coerced_like_json():
+    text, error = assert_same({2: "a", 2.5: "b", -0.0: "d", True: "e"})
+    assert error is None and '"-0.0": "d"' in text and '"true": "e"' in text
+    assert_same({None: 1})
+    assert_same({False: 1, 3: 2})
+    assert_same({math.nan: 1, 0.5: 2})
+
+
+def test_same_errors_as_json():
+    for obj in ({1: 1, "a": 2}, {None: 1, 0: 2}, {(1,): 2}, [1, object()],
+                {"a": [1, {2}]}, {"a": np.int64(1)}, {"a": np.array([1.0])}):
+        (text, error), _ = both(obj)
+        assert error is not None and error[0] is TypeError
+        assert_same(obj)
+
+
+def test_circular_references_raise_like_json():
+    loop: list = [1]
+    loop.append(loop)
+    cycle: dict = {"a": 1}
+    cycle["b"] = [cycle]
+    for obj in (loop, cycle):
+        (text, error), _ = both(obj)
+        assert error == (ValueError, "Circular reference detected")
+        assert_same(obj)
+
+
+def test_shapes_json_writes_on_one_line():
+    for obj in ([], {}, (), "é\n", 7, None, [[]], {"a": {}}, [[[[[[1]]]]]]):
+        assert_same(obj)
+    shared = [0.5, -0.0]
+    deep = [shared, shared]
+    for i in range(60):
+        deep = {"k": [deep, shared], str(i): i}
+    assert_same(deep)
+
+
+def test_writer_flushes_pieces_while_it_writes():
+    class Sink(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            Sink.writes += 1
+            return super().write(s)
+
+    payload = {"pairs": [{"p": [float(i), 1.0], "q": [i, -0.0]} for i in range(5000)]}
+    fh = Sink()
+    jsonwriter.dump(payload, fh)
+    assert fh.getvalue() == json.dumps(payload, indent=2, sort_keys=True)
+    assert Sink.writes > 5
+
+
+def cli_cases():
+    cases = []
+    for name, step in (("star", None), ("kinked-pair", None), ("three-supplier", "0.5")):
+        extra = ["--step", step] if step else []
+        path = os.path.join(SCENARIOS, f"{name}.json")
+        n = load_scenario(path).network.n
+        for argv in (["demand", "--prices"] + ["1.0"] * n,
+                     ["check", "--property", "fs"], ["check", "--property", "nib"],
+                     ["solve", "--csv"], ["solve", "--no-refine"], ["lattice"],
+                     ["rural"], ["extremal"], ["mechanism"], ["adapt"]):
+            label = "-".join([name] + [a.lstrip("-") for a in argv[:3]
+                                       if not a[0].isdigit()])
+            cases.append(pytest.param(name, [argv[0], path] + argv[1:] + extra,
+                                      id=label))
+    return cases
+
+
+@pytest.mark.parametrize("name, argv", cli_cases())
+def test_cli_reports_equal_json_dump(name, argv, tmp_path):
+    args = build_parser().parse_args(argv)
+    sc = load_scenario(args.scenario)
+    if args.step:
+        sc.analysis.step = args.step
+    result = run_command(args.cmd, sc, args)
+    stem = f"{name}-{args.cmd}"
+    written = emit_report(result, str(tmp_path), stem)
+    assert str(tmp_path / f"{stem}.json") in written
+    oracle = io.StringIO()
+    json.dump(result.payload, oracle, indent=2, sort_keys=True)
+    oracle.write("\n")
+    assert (tmp_path / f"{stem}.json").read_bytes() == oracle.getvalue().encode("utf-8")

@@ -40,13 +40,20 @@ from netclear.equilibrium import (
     find_equilibria,
     is_equilibrium,
     lattice_pairs,
+    rural_pairs,
     verify_lattice_pair,
     verify_rural_hospitals_pair,
 )
 from netclear.errors import NonFiniteUtility, NotAnEquilibriumInput
 from netclear.instances import assignment_market, star_market
 from netclear.mechanisms import SearchConfig, buyer_optimal_mechanism
-from netclear.model import PriceVector, build_network, terminal_roles
+from netclear.model import (
+    PriceVector,
+    build_network,
+    join_meet,
+    net_index,
+    terminal_roles,
+)
 from netclear.utility import (
     FirmUtility,
     UtilityProfile,
@@ -392,6 +399,31 @@ def test_lattice_pairs_carry_their_records():
                                          eps_tie=SUPPORT_TIE)
 
 
+def test_lattice_pairs_keep_each_float_and_share_points():
+    u = star_market()
+    base = is_equilibrium(u, PriceVector(u.network, (1.0, 1.0, 1.0, 1.0)))
+    records = [dataclasses.replace(base, prices=PriceVector(u.network, values))
+               for values in ((0.0, 1.0, -0.0, 2.0), (-0.0, 1.0, 0.0, 1.0),
+                              (0.0, 0.5, -0.0, 2.0), (-0.0, 0.5, 0.0, 1.0))]
+    pairs = lattice_pairs(u, records)
+    points = {}
+    for (e, e2), got in zip(itertools.combinations(records, 2), pairs):
+        for want, point in zip(join_meet(e.prices.values, e2.prices.values), got[2:4]):
+            # Python's max and min, sign of zero included
+            assert list(map(repr, point)) == list(map(repr, want))
+            # one tuple per distinct bit pattern
+            assert points.setdefault(tuple(map(repr, point)), point) is point
+    # 0.0 and -0.0 stay apart, though their tuples compare equal
+    assert len(points) > len(set(points.values()))
+
+
+def test_pair_verifiers_on_no_trades():
+    u = UtilityProfile(build_network([]), {})
+    (rec,) = find_equilibria(u, (0.0, 1.0))
+    assert lattice_pairs(u, [rec] * 3) == [(rec, rec, (), (), True, True)] * 3
+    assert list(rural_pairs(u, [rec] * 3)) == [(rec, rec, ())] * 3
+
+
 def test_verifiers_reject_the_same_inputs():
     u = star_market()
     good = is_equilibrium(u, PriceVector(u.network, (1.0, 1.0, 1.0, 1.0)))
@@ -482,6 +514,60 @@ def test_equilibrium_set_equals_record_list(name, u, box, step):
         assert np.array_equal(found.best, best)
 
 
+def net_vector(u, mask):
+    return tuple(net_index(u.network, f, mask) for f in sorted(u.firms))
+
+
+def unmatched_loop(u, e, e2):
+    """Supports of e whose net-index vector no support of e2 has, from
+    ``net_index`` directly."""
+    other = {net_vector(u, m) for m in e2.supports}
+    return tuple(m for m in e.supports if net_vector(u, m) not in other)
+
+
+def rural_cases():
+    out = []
+    for name in sorted(os.listdir(SCENARIOS)):
+        sc = load_scenario(os.path.join(SCENARIOS, name))
+        step = 0.5 if name == "three-supplier.json" else sc.analysis.step
+        out.append((name, sc.profile, sc.analysis.box, step))
+    return out + [(f"tied-{seed}", tied_market(seed), (0.0, 3.0), 0.5)
+                  for seed in range(4)]
+
+
+RURAL_CASES = rural_cases()
+
+
+@pytest.mark.parametrize("name,u,box,step", RURAL_CASES,
+                         ids=[case[0] for case in RURAL_CASES])
+def test_rural_pairs_match_per_pair_loop(name, u, box, step):
+    records = find_equilibria(u, box, step)
+    # an equal copy and a reversed order add pairs with shared and swapped records
+    records = list(records) + [dataclasses.replace(records[0])]
+    for order in (records, records[::-1]):
+        got = list(rural_pairs(u, order))
+        assert len(got) == len(order) * (len(order) - 1) // 2
+        for (e, e2), (ge, ge2, unmatched) in zip(itertools.combinations(order, 2), got):
+            assert ge is e and ge2 is e2
+            assert unmatched == unmatched_loop(u, e, e2)
+            rep = verify_rural_hospitals_pair(u, e, e2)
+            assert rep.unmatched == unmatched
+            # each matched support pairs with the largest mask of e2 with its vector
+            assert rep.matched == tuple(
+                (m, max(m2 for m2 in e2.supports
+                        if net_vector(u, m2) == net_vector(u, m)))
+                for m in e.supports if m not in unmatched)
+
+
+def test_rural_pairs_checks_its_inputs_when_called():
+    u = star_market()
+    good = is_equilibrium(u, PriceVector(u.network, (1.0, 1.0, 1.0, 1.0)))
+    bad = dataclasses.replace(good, supports=())
+    with pytest.raises(NotAnEquilibriumInput):
+        rural_pairs(u, [good, bad])
+    assert list(rural_pairs(u, [good])) == []
+
+
 def complementary_seller():
     """A seller who sells both trades or neither: each buyer prefers the
     record where it pays 0, so no record is best for both."""
@@ -541,6 +627,29 @@ def test_mechanism_makes_one_kernel_call(monkeypatch):
         buyer_optimal_mechanism(u, SearchConfig((0.0, 3.0), 0.5))
         # the scan candidates only: no call on refined points, none for the ranking
         assert len(calls) == 1 and calls[0] > 0
+
+
+def test_no_candidates_make_no_kernel_call(monkeypatch):
+    calls = []
+    evaluate = _CompiledProfile.evaluate
+
+    def counted(cp, points, *args):
+        calls.append(len(points))
+        return evaluate(cp, points, *args)
+
+    monkeypatch.setattr(_CompiledProfile, "evaluate", counted)
+    for u in (star_market(), random_market(0), constant_market()):
+        calls.clear()
+        for refine in (False, True):
+            # far above every value: no grid point comes near Z = 0
+            found = find_equilibria(u, (5.0, 6.0), 0.5, refine=refine)
+            assert calls == [] and len(found) == 0 and list(found) == []
+            z, fit, best = evaluate(_CompiledProfile(u), np.empty((0, u.network.n)),
+                                    SUPPORT_TIE)
+            assert found.prices.shape == (0, u.network.n)
+            assert (found.fit.shape, found.fit.dtype) == (fit.shape, fit.dtype)
+            assert (found.best.shape, found.best.dtype) == (best.shape, best.dtype)
+            assert found.z.shape == np.array(z).shape == (0,)
 
 
 # -- per-firm caches shared across misreport profiles ------------------------------
