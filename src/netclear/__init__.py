@@ -32,7 +32,6 @@ from .demand import (
     nib_witness,
 )
 from .equilibrium import (
-    DescentConfig,
     EquilibriumRecord,
     EquilibriumSet,
     extremal_equilibria,

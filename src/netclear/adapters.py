@@ -18,10 +18,9 @@ holding on all of price space:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import expr as ex
-from .demand import demand_set
 from .errors import NotInducedNetwork, ScenarioValidationError
 from .model import PriceVector, TradeNetwork, build_network
 from .utility import FirmUtility, UtilityProfile, make_unit_demand
@@ -63,7 +62,7 @@ def induce_from_matching(m: MatchingMarket) -> tuple[TradeNetwork, UtilityProfil
             # salary symbol p[d] becomes -price of the (h, d) trade
             subs = {d: ex.Unary("neg", ex.Price(matching_trade_id(h, d)))
                     for d in doctors}
-            table[mask] = _substitute_prices(expr_, subs)
+            table[mask] = ex.substitute(expr_, prices=subs)
         firms[h] = FirmUtility(h, network, table)
     for d in m.doctors:
         exprs = {}
@@ -75,26 +74,6 @@ def induce_from_matching(m: MatchingMarket) -> tuple[TradeNetwork, UtilityProfil
         firms[d] = make_unit_demand(d, network, exprs,
                                     outside=float(m.outside.get(d, 0.0)))
     return network, UtilityProfile(network, firms)
-
-
-def _substitute_prices(e: ex.Expr, mapping: Mapping[str, ex.Expr]) -> ex.Expr:
-    def walk(node: ex.Expr) -> ex.Expr:
-        if isinstance(node, ex.Price) and node.trade in mapping:
-            return mapping[node.trade]
-        if isinstance(node, (ex.Num, ex.Price, ex.Var)):
-            return node
-        if isinstance(node, ex.Unary):
-            return ex.Unary(node.op, walk(node.arg))
-        if isinstance(node, (ex.Binary, ex.Cmp)):
-            return type(node)(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, ex.NAry):
-            return ex.NAry(node.op, tuple(walk(a) for a in node.args))
-        if isinstance(node, ex.Piecewise):
-            return ex.Piecewise(tuple((walk(g), walk(v)) for g, v in node.cases),
-                                walk(node.otherwise))
-        raise TypeError(node)
-
-    return walk(e)
 
 
 def salary_vector(network: TradeNetwork, p: PriceVector) -> dict[str, float]:

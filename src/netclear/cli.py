@@ -52,6 +52,7 @@ from .equilibrium import (
     EPS_EQ,
     extremal_equilibria,
     find_equilibria,
+    grid_axis,
     grid_surplus,
     lattice_pairs,
     rural_pairs,
@@ -61,6 +62,7 @@ from .errors import (
     ScenarioParseError,
     ScenarioValidationError,
     SchemaVersionMismatch,
+    UnknownFirm,
 )
 from .mechanisms import SearchConfig, buyer_optimal_mechanism
 from .model import PriceVector, TradeNetwork, build_network, terminal_roles
@@ -101,6 +103,27 @@ def _fail(msg: str, exc=ScenarioValidationError):
     raise exc(msg)
 
 
+def _expr(entry: dict, where: str, **kwargs) -> ex.Expr:
+    if "expr" not in entry:
+        _fail(f"{where}: missing 'expr'")
+    return ex.parse_expr(entry["expr"], **kwargs)
+
+
+def _analysis(a) -> Analysis:
+    if not isinstance(a, dict):
+        _fail("analysis: not a JSON object")
+    box = a.get("box", (-1.0, 3.0))
+    if not (isinstance(box, (list, tuple)) and len(box) == 2
+            and all(type(x) in (int, float) for x in box)):
+        _fail(f"analysis.box: not two numbers: {box!r}")
+    try:
+        return Analysis(tuple(box), float(a.get("step", 0.25)),
+                        float(a.get("eps_tie", EPS_TIE)),
+                        float(a.get("eps_eq", EPS_EQ)), int(a.get("seed", 42)))
+    except (TypeError, ValueError) as e:
+        _fail(f"analysis: {e}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,18 +133,13 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioParseError(
             f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    if not isinstance(raw, dict):
+        _fail(f"{path}: the scenario is not a JSON object")
     if raw.get("version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"expected version {SCHEMA_VERSION}, got {raw.get('version')!r}")
     kind = raw.get("kind", "network")
-    a = raw.get("analysis", {})
-    analysis = Analysis(
-        box=tuple(a.get("box", (-1.0, 3.0))),
-        step=float(a.get("step", 0.25)),
-        eps_tie=float(a.get("eps_tie", EPS_TIE)),
-        eps_eq=float(a.get("eps_eq", EPS_EQ)),
-        seed=int(a.get("seed", 42)),
-    )
+    analysis = _analysis(raw.get("analysis", {}))
     if kind == "network":
         return _load_network(raw, analysis, path)
     if kind == "matching":
@@ -151,7 +169,7 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
                 if tid not in network.index:
                     _fail(f"utilities[{f}][{j}]: unknown trade {tid!r}")
             mask = network.mask_of(bundle)
-            table[mask] = ex.parse_expr(entry["expr"], allowed_trades=ids)
+            table[mask] = _expr(entry, f"utilities[{f}][{j}]", allowed_trades=ids)
         firms[f] = FirmUtility(f, network, table)
     missing = network.firms - set(firms)
     if missing:
@@ -164,10 +182,9 @@ def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
     hospitals = {}
     for h, entries in raw.get("hospitals", {}).items():
         table = {}
-        for entry in entries:
+        for j, entry in enumerate(entries):
             docs = frozenset(entry.get("doctors", []))
-            table[docs] = ex.parse_expr(entry["expr"],
-                                        allowed_trades=None)
+            table[docs] = _expr(entry, f"hospitals[{h}][{j}]", allowed_trades=None)
         hospitals[h] = table
     doctors = {}
     outside = {}
@@ -190,9 +207,10 @@ def _load_exchange(raw: dict, analysis: Analysis, path: str) -> Scenario:
     for agent, spec in raw.get("agents", {}).items():
         endowments[agent] = tuple(spec.get("endowment", []))
         table = {}
-        for entry in spec.get("utility", []):
-            table[frozenset(entry.get("objects", []))] = ex.parse_expr(
-                entry["expr"], allowed_trades=None, allow_vars=("t",))
+        for j, entry in enumerate(spec.get("utility", [])):
+            table[frozenset(entry.get("objects", []))] = _expr(
+                entry, f"agents[{agent}].utility[{j}]",
+                allowed_trades=None, allow_vars=("t",))
         tables[agent] = table
     economy = adapters.ExchangeEconomy(objects, endowments, tables)
     induced = adapters.induce_from_exchange(economy)
@@ -210,28 +228,23 @@ class RunResult:
     csv_rows: list[list] | None = None
 
 
-def emit_report(result: RunResult, out_dir: str | None, stem: str,
-                formats=("text", "json")) -> list[str]:
-    written = []
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        if "text" in formats:
-            p = os.path.join(out_dir, f"{stem}.txt")
-            with open(p, "w", encoding="utf-8") as fh:
-                fh.write(result.text)
-            written.append(p)
-        if "json" in formats:
-            p = os.path.join(out_dir, f"{stem}.json")
-            with open(p, "w", encoding="utf-8") as fh:
-                jsonwriter.dump(result.payload, fh)
-                fh.write("\n")
-            written.append(p)
-        if "csv" in formats and result.csv_rows is not None:
-            p = os.path.join(out_dir, f"{stem}.csv")
-            with open(p, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows(result.csv_rows)
-            written.append(p)
-    return written
+def emit_report(result: RunResult, out_dir: str | None, stem: str) -> list[str]:
+    """Write the text and JSON reports, and the CSV rows when there are any."""
+    if not out_dir:
+        return []
+    os.makedirs(out_dir, exist_ok=True)
+    text, js, table = (os.path.join(out_dir, f"{stem}.{ext}")
+                       for ext in ("txt", "json", "csv"))
+    with open(text, "w", encoding="utf-8") as fh:
+        fh.write(result.text)
+    with open(js, "w", encoding="utf-8") as fh:
+        jsonwriter.dump(result.payload, fh)
+        fh.write("\n")
+    if result.csv_rows is None:
+        return [text, js]
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(result.csv_rows)
+    return [text, js, table]
 
 
 def _ids(network: TradeNetwork, mask: int) -> list[str]:
@@ -240,10 +253,19 @@ def _ids(network: TradeNetwork, mask: int) -> list[str]:
 
 # -- commands ----------------------------------------------------------------
 
+def _firm(sc: Scenario, firm: str) -> FirmUtility:
+    if firm not in sc.profile.firms:
+        raise UnknownFirm(f"unknown firm {firm!r}")
+    return sc.profile.firms[firm]
+
+
 def cmd_demand(sc: Scenario, args) -> RunResult:
     firm = args.firm or sorted(sc.profile.firms)[0]
-    prices = PriceVector.of(sc.network, [float(v) for v in args.prices])
-    d = demand_set(sc.profile.firms[firm], prices, sc.analysis.eps_tie)
+    try:
+        prices = PriceVector.of(sc.network, [float(v) for v in args.prices])
+    except ValueError:
+        _fail(f"--prices: not numbers: {args.prices}")
+    d = demand_set(_firm(sc, firm), prices, sc.analysis.eps_tie)
     bundles = [_ids(sc.network, m) for m in d.bundles]
     lines = [f"demand of {firm} at {list(prices.values)}:"]
     lines += [f"  {b}" for b in bundles]
@@ -267,11 +289,9 @@ _PROPERTIES = {
 def cmd_check(sc: Scenario, args) -> RunResult:
     firm = args.firm or min((f for f, r in terminal_roles(sc.network).items()
                              if r == "intermediate"), default=min(sc.profile.firms))
-    u = sc.profile.firms[firm]
+    u = _firm(sc, firm)
     if args.property == "nib":
-        lo, hi = sc.analysis.box
-        levels = np.round(np.arange(lo, hi + sc.analysis.step / 2,
-                                    sc.analysis.step), 12)
+        levels = grid_axis(sc.analysis.box, sc.analysis.step, 1)
         rng = np.random.default_rng(sc.analysis.seed)
         grid = [PriceVector(sc.network, tuple(float(levels[rng.integers(len(levels))])
                                               for _ in range(sc.network.n)))
@@ -496,10 +516,7 @@ def main(argv=None) -> int:
         return 1
     sys.stdout.write(result.text)
     stem = f"{os.path.splitext(os.path.basename(args.scenario))[0]}-{args.cmd}"
-    formats = ["text", "json"]
-    if getattr(args, "csv", False):
-        formats.append("csv")
-    emit_report(result, args.out, stem, formats)
+    emit_report(result, args.out, stem)
     return result.exit_code
 
 

@@ -27,13 +27,15 @@ indirect utilities.  Compiled tables live with their owners (a profile's
 with the profile object, a firm's closures and scan tables with its
 ``FirmUtility``), and the feasible global sets are cached by the firms'
 feasible bundles, so misreport profiles reuse their unchanged firms' work.
+
+Grid levels come from ``grid_axis`` alone, which validates the box and step
+and caps the grid before anything is allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -55,14 +57,19 @@ from .model import (
     net_index,
     terminal_roles,
 )
-from .utility import FirmUtility, UtilityProfile
+from .utility import UtilityProfile
 
 EPS_EQ = 1e-7
 DEDUP_TOL = 1e-6
 # largest grid find_equilibria scans; about 33x the 12^6 grids of the tests
 MAX_GRID_POINTS = 10**8
-# default block size of the scan (points) and the record kernel (regret entries)
+# block size of the scan (points) and the record kernel (regret entries),
+# read when they are called
 BATCH = 1 << 17
+# coordinate descent: the first step is half the grid step, halved after a
+# sweep with no gain, until it falls below DESCENT_STOP or after DESCENT_SWEEPS
+DESCENT_STOP = 1e-10
+DESCENT_SWEEPS = 200
 # scan tables kept per firm utility object, oldest dropped first
 SCAN_TABLES = 4
 
@@ -108,7 +115,7 @@ class EquilibriumSet(Sequence):
 
 def lex_first(prices: np.ndarray, rows: np.ndarray | None = None) -> int:
     """Index of the first lexicographically smallest price row (where ``rows``)."""
-    idx = np.arange(len(prices)) if rows is None else np.flatnonzero(rows)
+    idx = np.flatnonzero(np.ones(len(prices), dtype=bool) if rows is None else rows)
     return int(idx[np.lexsort((idx, *prices[idx].T[::-1]))[0]])
 
 
@@ -153,8 +160,9 @@ class _CompiledProfile:
     """Per-profile caches shared by surplus evaluation, grid scans and the
     record kernel.
 
-    It keeps the profile's firm utilities, not the profile itself, so that
-    ``_compiled`` can drop it when the profile is freed.
+    It is kept on the profile (``_compiled``) and holds the profile's firm
+    utilities, not the profile itself, so the two form no reference cycle
+    and are freed together.
     """
 
     def __init__(self, profile: UtilityProfile):
@@ -204,7 +212,7 @@ class _CompiledProfile:
                     break
         return z
 
-    def evaluate(self, points, tie: float, batch: int = BATCH
+    def evaluate(self, points, tie: float
                  ) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Exact Z, supports and indirect utilities at each row of points.
 
@@ -215,13 +223,13 @@ class _CompiledProfile:
         every share of ``feasible_globals[g]`` is within ``tie`` of
         ``best_f`` (the global set supports row r); ``best[r, k]`` is the
         indirect utility of ``firms[k]``.  Rows go in blocks of at most
-        ``batch`` regret entries.  A non-finite value raises
+        ``BATCH`` regret entries.  A non-finite value raises
         ``NonFiniteUtility``.
         """
         points = np.asarray(points, dtype=float)
         points = points.reshape(len(points), self.network.n)
         globals_ = len(self.feasible_globals)
-        rows = max(1, batch // globals_)
+        rows = max(1, BATCH // globals_)
         z = np.empty(len(points))
         fit = np.empty((len(points), globals_), dtype=bool)
         best = np.empty((len(points), len(self.firms)))
@@ -274,18 +282,17 @@ class _CompiledProfile:
             del u._scan[next(iter(u._scan))]
         return ok
 
-    def scan_hits(self, axis: np.ndarray, threshold: float,
-                  batch: int) -> list[tuple[float, ...]]:
+    def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
         """Points of the grid axis^n where Z <= threshold, in row-major order.
 
-        The grid is cut into blocks of at most ``batch`` points: a run of
+        The grid is cut into blocks of at most ``BATCH`` points: a run of
         rows on one axis, every later axis whole, every earlier axis fixed.
         A firm's table is rebuilt only when the block moves along an axis
         it reads, and not at all when its utility object already holds it.
         """
         n, levels = self.network.n, len(axis)
-        lead = next(d for d in range(n) if levels ** (n - 1 - d) <= batch)
-        rows = min(levels, max(1, batch // levels ** (n - 1 - lead)))
+        lead = next(d for d in range(n) if levels ** (n - 1 - d) <= BATCH)
+        rows = min(levels, max(1, BATCH // levels ** (n - 1 - lead)))
         omegas = {f: self.utilities[f].omega for f in self.firms}
         grid = (axis.tobytes(), threshold)
         tables: dict[str, dict[int, np.ndarray]] = {}
@@ -309,23 +316,19 @@ class _CompiledProfile:
         return hits
 
 
-# compiled caches of the live profile objects, keyed by id
-_COMPILED: dict[int, _CompiledProfile] = {}
-
-
 def _compiled(u: UtilityProfile) -> _CompiledProfile:
-    """The compiled caches of u, built on first use and dropped when u is
-    freed (the caches hold no reference to u itself)."""
-    cp = _COMPILED.get(id(u))
-    if cp is None:
-        cp = _COMPILED[id(u)] = _CompiledProfile(u)
-        weakref.finalize(u, _COMPILED.pop, id(u), None)
-    return cp
+    """The compiled caches of u, built on first use and kept on u."""
+    if u._compiled is None:
+        object.__setattr__(u, "_compiled", _CompiledProfile(u))
+    return u._compiled
 
 
 def _support_tie(eps_eq: float, eps_tie: float) -> float:
-    """Tie tolerance for the supports of a record: a point accepted with Z
-    up to ``eps_eq`` must keep the bundles that tie within that slack."""
+    """The one support tie rule: a record's supports are the global sets
+    whose every share is within ``max(eps_tie, 10 * eps_eq)`` of the firm's
+    best, so a point accepted with Z up to ``eps_eq`` keeps the bundles that
+    tie within that slack.  ``find_equilibria``, ``is_equilibrium`` and the
+    lattice checks all tie at it."""
     return max(eps_tie, 10 * eps_eq)
 
 
@@ -346,30 +349,21 @@ def is_equilibrium(u: UtilityProfile, p: PriceVector,
                    eps_eq: float = EPS_EQ,
                    eps_tie: float = EPS_TIE) -> EquilibriumRecord | None:
     """The record at p, or None when no global trade set gives every firm a
-    bundle within ``eps_tie`` of its best: a batch of one through
-    ``_CompiledProfile.evaluate``."""
+    bundle within the support tie (``_support_tie``) of its best: a batch of
+    one through ``_CompiledProfile.evaluate``."""
     cp = _compiled(u)
-    (z,), (fit,), _ = cp.evaluate([p.values], eps_tie)
+    (z,), (fit,), _ = cp.evaluate([p.values], _support_tie(eps_eq, eps_tie))
     return cp.record(p, fit, z)
 
 
-@dataclass(frozen=True)
-class DescentConfig:
-    initial_step: float
-    shrink: float = 0.5
-    stop: float = 1e-10
-    max_cycles: int = 200
-
-
 def _coordinate_descent(cp: _CompiledProfile, start: tuple[float, ...],
-                        cfg: DescentConfig, eps_eq: float) -> tuple[tuple[float, ...], float]:
-    """Derivative-free cyclic coordinate line-search on Z."""
+                        step: float, eps_eq: float) -> tuple[tuple[float, ...], float]:
+    """Derivative-free cyclic coordinate line-search on Z from a first step."""
     x = list(start)
     z = cp.surplus_at(tuple(x))
-    step = cfg.initial_step
     cycles = 0
     n = len(x)
-    while step >= cfg.stop and z > eps_eq * 0.1 and cycles < cfg.max_cycles:
+    while step >= DESCENT_STOP and z > eps_eq * 0.1 and cycles < DESCENT_SWEEPS:
         improved = False
         for i in range(n):
             for cand in (x[i] + step, x[i] - step):
@@ -380,7 +374,7 @@ def _coordinate_descent(cp: _CompiledProfile, start: tuple[float, ...],
                     x, z = trial, zt
                     improved = True
         if not improved:
-            step *= cfg.shrink
+            step *= 0.5
         cycles += 1
     return tuple(x), z
 
@@ -390,15 +384,16 @@ def grid_surplus(u: UtilityProfile, box: tuple[float, float],
     """Every point of the grid, in row-major order, and its exact Z from the
     record kernel."""
     n = u.network.n
-    axis = _grid_axis(box, step, n)
+    axis = grid_axis(box, step, n)
     levels = len(axis)
     points = axis[np.indices((levels,) * n).reshape(n, levels ** n).T]
     z, _fit, _best = _compiled(u).evaluate(points, EPS_TIE)
     return points, z
 
 
-def _grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
-    """Grid levels on one axis of the box; raise before a too-large grid.
+def grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
+    """Grid levels on one axis of the box, for a grid of n axes; raise
+    before a too-large grid.  The only place that builds grid levels.
 
     ``EmptyBox`` for a box or step that spans no finite grid,
     ``GridTooLarge`` when ``levels ** n`` exceeds ``MAX_GRID_POINTS``.
@@ -415,26 +410,25 @@ def _grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
 
 
 def find_equilibria(u: UtilityProfile, box: tuple[float, float],
-                    step: float = 0.25,
-                    refine: DescentConfig | None | bool = True,
+                    step: float = 0.25, refine: bool = True,
                     eps_eq: float = EPS_EQ,
-                    eps_tie: float = EPS_TIE,
-                    trigger: float | None = None,
-                    batch: int = BATCH) -> EquilibriumSet:
+                    eps_tie: float = EPS_TIE) -> EquilibriumSet:
     """Grid-scan Z over the box, refine near-zero points, verify survivors.
 
-    The scan keeps the grid points where Z <= ``trigger``, in row-major
-    order.  It is factored by firm (see the module docstring): each firm's
-    regret test is evaluated once on the sub-grid of the prices it reads,
-    and the per-firm tables are combined by boolean broadcasts in blocks
-    of at most ``batch`` points.  A grid of more than ``MAX_GRID_POINTS``
-    points raises ``GridTooLarge`` before anything is allocated.
+    The scan keeps the grid points where Z <= ``step / 2`` (with
+    ``refine``) or Z <= ``eps_eq`` (without), in row-major order.  It is
+    factored by firm (see the module docstring): each firm's regret test is
+    evaluated once on the sub-grid of the prices it reads, and the per-firm
+    tables are combined by boolean broadcasts in blocks of at most
+    ``BATCH`` points.  A grid of more than ``MAX_GRID_POINTS`` points
+    raises ``GridTooLarge`` before anything is allocated.
 
     One call of the record kernel (``_CompiledProfile.evaluate``) gives
     exact Z, the supports and the indirect utilities of every candidate;
     candidates with Z <= ``eps_eq`` are kept directly.  The rest start a
-    coordinate descent on scalar Z (when ``refine``), and the refined points
-    that survive deduplication go through one more kernel call.  The kept
+    coordinate descent on scalar Z (when ``refine``; its first step is
+    ``step / 2``), and the refined points that survive deduplication go
+    through one more kernel call.  The kept
     rows with a support make the returned ``EquilibriumSet``, whose records
     are built only when indexed.
 
@@ -443,37 +437,31 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     deduplication at infinity-distance 1e-6.
     """
     n = u.network.n
-    axis = _grid_axis(box, step, n)
+    axis = grid_axis(box, step, n)
     cp = _compiled(u)
     if n == 0:
         # no trades and so no firms: one record at the empty price vector
         return EquilibriumSet(cp, np.empty((1, 0)), np.ones((1, 1), dtype=bool),
                               np.zeros(1), np.empty((1, 0)))
-    if refine is True:
-        refine = DescentConfig(initial_step=step / 2)
-    elif refine is False:
-        refine = None
-    if trigger is None:
-        trigger = step / 2 if refine is not None else eps_eq
-    candidates = cp.scan_hits(axis, trigger + 1e-15, max(1, batch))
+    candidates = cp.scan_hits(axis, (step / 2 if refine else eps_eq) + 1e-15)
     if not candidates:
         return EquilibriumSet(cp, np.empty((0, n)),
                               np.empty((0, len(cp.feasible_globals)), dtype=bool),
                               np.empty(0), np.empty((0, len(cp.firms))))
     points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
-    z, fit, best = cp.evaluate(points, support_tie, batch)
+    z, fit, best = cp.evaluate(points, support_tie)
     # (point, its row in the kernel output, or None once refined)
     found: list[tuple[tuple[float, ...], int | None]] = []
     for i, cand in enumerate(candidates):
         if z[i] <= eps_eq:
             found.append((cand, i))
-        elif refine is not None:
-            refined, zr = _coordinate_descent(cp, cand, refine, eps_eq)
+        elif refine:
+            refined, zr = _coordinate_descent(cp, cand, step / 2, eps_eq)
             if zr <= eps_eq:
                 found.append((refined, None))
     # dedupe at infinity distance; raw grid points are already distinct
-    if refine is None and step > 2 * DEDUP_TOL:
+    if not refine and step > 2 * DEDUP_TOL:
         kept = found
     else:
         kept = []
@@ -486,7 +474,7 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     # refined points follow the candidates in the kernel arrays
     fresh = [point for point, row in kept if row is None]
     if fresh:
-        zr, fitr, bestr = cp.evaluate(fresh, support_tie, batch)
+        zr, fitr, bestr = cp.evaluate(fresh, support_tie)
         points = np.vstack([points, fresh])
         z, fit, best = z + zr, np.vstack([fit, fitr]), np.vstack([best, bestr])
     count = itertools.count(len(candidates))
@@ -566,9 +554,10 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     # rows join_0, meet_0, join_1, meet_1, ...
     both = np.stack([np.where(q > p, q, p), np.where(q < p, q, p)], 1)
     both = both.reshape(2 * len(i), n)
-    # sort the rows by bit pattern, so that equal points are adjacent
+    # sort the rows by bit pattern, so that equal points are adjacent (the
+    # constant first key keeps the sort defined when there are no trades)
     bits = both.view(np.int64)
-    order = np.lexsort(bits.T) if n else np.arange(len(bits))
+    order = np.lexsort((np.zeros(len(bits)), *bits.T))
     ranked = bits[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(1)

@@ -121,16 +121,18 @@ def price_refs(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
-def substitute(e: Expr, prices: Mapping[str, float] | None = None,
+def substitute(e: Expr, prices: Mapping[str, float | Expr] | None = None,
                variables: Mapping[str, Expr] | None = None) -> Expr:
-    """Replace price references by constants and/or variables by sub-trees."""
+    """Replace price references by constants or sub-trees, and/or variables
+    by sub-trees."""
     prices = prices or {}
     variables = variables or {}
 
     def walk(node: Expr) -> Expr:
         if isinstance(node, Price):
             if node.trade in prices:
-                return Num(float(prices[node.trade]))
+                new = prices[node.trade]
+                return new if isinstance(new, Expr) else Num(float(new))
             return node
         if isinstance(node, Var):
             return variables.get(node.name, node)

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .demand import EPS_TIE, demand_set
+from .equilibrium import grid_axis
 from .errors import NonFiniteUtility, PatternViolation
 from .model import PriceVector
 from .utility import FirmUtility
@@ -59,11 +60,12 @@ def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
 
     From p to p': on side 'purchase-raise', some purchase prices move up by
     whole grid steps (sales frozen); on 'sale-lower', some sale prices move
-    down.  Coordinates that stay are copied bit-exactly.
+    down.  Coordinates that stay are copied bit-exactly.  The levels come
+    from ``grid_axis`` as one axis, which raises ``EmptyBox`` for a bad box
+    or step and ``GridTooLarge`` for too many levels.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = box
-    levels = np.round(np.arange(lo, hi + step / 2, step), 12)
+    levels = grid_axis(box, step, 1)
     n = u.network.n
     buys = u.network.buys_mask(u.firm)
     sells = u.network.sells_mask(u.firm)
@@ -94,9 +96,9 @@ def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
 def exhaustive_pattern_pairs(u: FirmUtility, box: tuple[float, float],
                              step: float, side: str,
                              limit: int | None = None) -> Iterator[Pair]:
-    """All grid pairs following the side's pattern (small grids only)."""
-    lo, hi = box
-    levels = [float(v) for v in np.round(np.arange(lo, hi + step / 2, step), 12)]
+    """All grid pairs following the side's pattern (small grids only), on
+    the levels of ``grid_axis`` as one axis."""
+    levels = grid_axis(box, step, 1).tolist()
     n = u.network.n
     buys = u.network.buys_mask(u.firm)
     sells = u.network.sells_mask(u.firm)
@@ -196,7 +198,7 @@ def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
     buys, sells = net.buys_mask(u.firm), net.sells_mask(u.firm)
     up = np.array([m & buys for m in masks], dtype=np.int64)
     down = np.array([m & sells for m in masks], dtype=np.int64)
-    bit = np.int64(1) << np.arange(net.n, dtype=np.int64)
+    bit = np.array([1 << i for i in range(net.n)], dtype=np.int64)
     bought, sold = (buys & bit) != 0, (sells & bit) != 0
     violations: list[Violation] = []
     tested = decided = 0
@@ -219,9 +221,8 @@ def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
             error = PatternViolation(
                 f"pair {block[end][0].values} -> {block[end][1].values} "
                 "matches no one-sided pattern")
-        rows = np.arange(end)
-        if side is not None:
-            rows = rows[raising[:end] == (side == "purchase-raise")]
+        rows = np.flatnonzero(raising[:end] == (side == "purchase-raise")
+                              if side is not None else ~mixed[:end])
         points = prices[rows].reshape(-1, net.n)
         try:
             v = u.value_matrix(list(points.T))

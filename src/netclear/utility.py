@@ -147,6 +147,8 @@ def eval_utility(u: FirmUtility, bundle: int | Iterable[str], p: PriceVector):
 class UtilityProfile:
     network: TradeNetwork
     firms: Mapping[str, FirmUtility]
+    # the equilibrium module's compiled tables, built on first use there
+    _compiled: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         missing = self.network.firms - set(self.firms)

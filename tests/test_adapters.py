@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from netclear.adapters import (
@@ -15,9 +17,13 @@ from netclear.adapters import (
 )
 from netclear.equilibrium import find_equilibria, is_equilibrium
 from netclear.errors import NotInducedNetwork, ScenarioValidationError
-from netclear.expr import parse_expr
+from netclear.cli import load_scenario
+from netclear.expr import Binary, Num, Price, Unary, parse_expr
 from netclear.model import PriceVector
 from netclear.utility import INFEASIBLE, is_unit_demand
+
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def pe(text):
@@ -55,6 +61,26 @@ def test_matching_price_is_negated_salary():
     assert prof.firms["h"].value(h_single, p.values) == pytest.approx(3 - s)
     assert prof.firms["d1"].value(h_single, p.values) == pytest.approx(1 + s)
     assert salary_vector(net, p) == {"h:d1": s, "h:d2": -0.0}
+
+
+def test_matching_small_tables():
+    sc = load_scenario(os.path.join(SCENARIOS, "matching-small.json"))
+    net, firms = sc.network, sc.profile.firms
+
+    def salary(d):
+        return Unary("neg", Price(f"h1:{d}"))
+
+    # each salary p[d] becomes the negated price of its (h1, d) trade
+    assert firms["h1"].table == {
+        0: Num(0.0),
+        net.mask_of(["h1:d1"]): Binary("-", Num(3.0), salary("d1")),
+        net.mask_of(["h1:d2"]): Binary("-", Num(2.0), salary("d2")),
+        net.mask_of(["h1:d1", "h1:d2"]):
+            Binary("-", Binary("-", Num(4.0), salary("d1")), salary("d2")),
+    }
+    assert firms["d1"].table[net.mask_of(["h1:d1"])] == \
+        Binary("+", Num(1.0), salary("d1"))
+    assert firms["d2"].table[net.mask_of(["h1:d2"])] == salary("d2")
 
 
 def test_matching_equilibrium_salaries():

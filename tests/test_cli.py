@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,68 @@ def test_box_and_step_overrides(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "step 0.5" in out
+
+
+ONE_TRADE = {
+    "version": 1, "kind": "network",
+    "trades": [{"id": "t", "seller": "a", "buyer": "b"}],
+    "utilities": {"a": [{"bundle": [], "expr": "0"}, {"bundle": ["t"], "expr": "p[t]"}],
+                  "b": [{"bundle": [], "expr": "0"}, {"bundle": ["t"], "expr": "2 - p[t]"}]},
+}
+
+
+def edited(**changes):
+    return {**ONE_TRADE, **changes}
+
+
+MALFORMED = {
+    "top-level-list": ([1, 2], ["solve"], "not a JSON object"),
+    "entry-without-expr": (
+        edited(utilities={**ONE_TRADE["utilities"], "b": [{"bundle": []}]}),
+        ["solve"], "utilities[b][0]: missing 'expr'"),
+    "step-not-a-number": (edited(analysis={"step": "fine"}), ["solve"],
+                          "analysis: could not convert string to float: 'fine'"),
+    "box-of-one": (edited(analysis={"box": [1]}), ["solve"],
+                   "analysis.box: not two numbers"),
+    "box-of-strings": (edited(analysis={"box": ["0", "2"]}), ["solve"],
+                       "analysis.box: not two numbers"),
+    "prices-not-numbers": (ONE_TRADE, ["demand", "--prices", "abc"],
+                           "--prices: not numbers"),
+    "unknown-demand-firm": (ONE_TRADE, ["demand", "--firm", "zz", "--prices", "1"],
+                            "unknown firm 'zz'"),
+    "unknown-check-firm": (ONE_TRADE, ["check", "--firm", "zz", "--property", "sss"],
+                           "unknown firm 'zz'"),
+    "negative-step": (None, ["check", "--property", "sss", "--step", "-0.5"],
+                      "bad box (-1, 3) / step -0.5"),
+    "reversed-box": (None, ["check", "--property", "sss", "--box", "3", "1"],
+                     "bad box (3.0, 1.0) / step 0.25"),
+    "nib-negative-step": (None, ["check", "--property", "nib", "--step", "-0.5"],
+                          "bad box (-1, 3) / step -0.5"),
+    "tiny-step": (None, ["check", "--property", "sss", "--step", "1e-9"],
+                  "grid points exceed the scan cap"),
+    "nib-tiny-step": (None, ["check", "--property", "nib", "--step", "1e-9"],
+                      "grid points exceed the scan cap"),
+}
+
+
+@pytest.mark.parametrize("raw,argv,message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_one_error_line(raw, argv, message, tmp_path, capsys):
+    path = scenario("star.json")
+    if raw is not None:
+        path = str(tmp_path / "case.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+    # a grid too large fails before its levels are allocated
+    tracemalloc.start()
+    try:
+        code = main([argv[0], path] + argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err and peak < 50 * 2 ** 20
 
 
 def test_mechanism_command(capsys):

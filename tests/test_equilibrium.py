@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netclear.equilibrium import (
-    DescentConfig,
     extremal_equilibria,
     find_equilibria,
     is_equilibrium,
@@ -73,15 +72,15 @@ def test_find_equilibria_star_golden():
 
 def test_find_equilibria_refine_reaches_off_grid():
     # equilibria of the one-trade market sit on [1, 3]; a misaligned grid
-    # still converges onto the segment via coordinate descent
+    # still converges onto the segment via coordinate descent (0.9 is within
+    # the step / 2 trigger, and its first step of 0.3 reaches 1.2)
     n = build_network([("t", "s", "b")])
     m = UtilityProfile(n, {
         "s": FirmUtility("s", n, {0: num(0), 1: parse_expr("p[t] - 1")}),
         "b": FirmUtility("b", n, {0: num(0), 1: parse_expr("3 - p[t]")}),
     })
-    records = find_equilibria(m, (-0.9, 0.9), 0.6,
-                              refine=DescentConfig(initial_step=2.0))
-    assert records
+    records = find_equilibria(m, (-0.9, 0.9), 0.6)
+    assert [r.prices.values for r in records] == [(1.2,)]
     assert all(1.0 - 1e-6 <= r.prices.values[0] <= 3.0 + 1e-6
                for r in records)
 

@@ -100,6 +100,10 @@ def test_substitute_prices_and_vars():
     assert eval_expr(pinned, {}, variables={"t": 1.0}) == 3.0
     swapped = substitute(e, variables={"t": Unary("neg", Price("a1"))})
     assert eval_expr(swapped, {"a1": 5.0}) == 0.0
+    # a price replaced by a sub-tree is not walked again
+    renamed = substitute(e, prices={"a1": Unary("neg", Price("a1"))})
+    assert renamed == substitute(parse_expr("-p[a1] + t", allow_vars=("t",)))
+    assert eval_expr(renamed, {"a1": 5.0}, variables={"t": 1.0}) == -4.0
 
 
 def test_compile_rejects_free_variables():

@@ -21,14 +21,12 @@ import weakref
 import numpy as np
 import pytest
 
-from netclear import expr as ex
+from netclear import equilibrium, expr as ex
 from netclear.cli import load_scenario, main
 from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
-    _COMPILED,
     EPS_EQ,
     SCAN_TABLES,
-    DescentConfig,
     EquilibriumRecord,
     EquilibriumSet,
     ExtremalReport,
@@ -140,7 +138,7 @@ def sample_points(u, box, step, seed):
     rng = np.random.default_rng(seed)
     lo, hi = box
     uniform = rng.uniform(lo, hi, size=(40, u.network.n))
-    hits = cp.scan_hits(grid(box, step), step / 2 + 1e-15, 1 << 17)
+    hits = cp.scan_hits(grid(box, step), step / 2 + 1e-15)
     assert hits
     return np.vstack([uniform, np.array(hits, dtype=float)])
 
@@ -180,13 +178,14 @@ def test_kernel_matches_scalar_oracle(name, u, box, step):
 
 @pytest.mark.parametrize("name,u,box,step", PROFILES,
                          ids=[case[0] for case in PROFILES])
-def test_kernel_is_independent_of_block_size(name, u, box, step):
+def test_kernel_is_independent_of_block_size(name, u, box, step, monkeypatch):
     cp = _CompiledProfile(u)
     points = sample_points(u, box, step, seed=1)
     globals_ = len(cp.feasible_globals)
     z, fit, best = cp.evaluate(points, SUPPORT_TIE)
     for batch in (1, 3, globals_, 3 * globals_ + 1):
-        zb, fb, bb = cp.evaluate(points, SUPPORT_TIE, batch)
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
+        zb, fb, bb = cp.evaluate(points, SUPPORT_TIE)
         assert zb == z and np.array_equal(fb, fit), batch
         assert np.array_equal(bb, best), batch
 
@@ -198,7 +197,7 @@ def test_kernel_on_no_points():
     assert best.shape == (0, len(cp.firms))
 
 
-def test_overflowing_row_raises():
+def test_overflowing_row_raises(monkeypatch):
     net = build_network([("a", "s", "b")])
     u = UtilityProfile(net, {
         "s": table(net, "s", {(): "0", ("a",): "p[a]"}),
@@ -208,8 +207,9 @@ def test_overflowing_row_raises():
     z, _fit, _best = cp.evaluate([[0.5], [2.0]], SUPPORT_TIE)
     assert len(z) == 2
     for batch in (1, 1 << 17):
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
         with pytest.raises(NonFiniteUtility):
-            cp.evaluate([[0.5], [1000.0], [2.0]], SUPPORT_TIE, batch)
+            cp.evaluate([[0.5], [1000.0], [2.0]], SUPPORT_TIE)
     with pytest.raises(NonFiniteUtility):
         is_equilibrium(u, PriceVector(net, (1000.0,)))
 
@@ -229,6 +229,34 @@ def test_is_equilibrium_is_a_batch_of_one():
         assert rec.surplus == pytest.approx(cp.surplus_at(values), abs=1e-12)
 
 
+def one_trade_market(price):
+    net = build_network([("a", "s", "b")])
+    return UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): f"p[a] - {price}"}),
+        "b": table(net, "b", {(): "0", ("a",): f"{price} - p[a]"}),
+    })
+
+
+def test_is_equilibrium_accepts_every_found_record():
+    # descent stops at Z = 5.96e-9 beside the equilibrium at 1.1: the record
+    # keeps both bundles, and is_equilibrium must tie them at the same rule
+    u = one_trade_market(1.1)
+    (rec,) = find_equilibria(u, (0.0, 2.0), 0.25)
+    assert 0 < rec.surplus <= EPS_EQ and rec.supports == (0, 1)
+    cases = [(u, EPS_EQ, EPS_TIE, [rec])]
+    for name in sorted(os.listdir(SCENARIOS)):
+        sc = load_scenario(os.path.join(SCENARIOS, name))
+        a = sc.analysis
+        cases.append((sc.profile, a.eps_eq, a.eps_tie,
+                      find_equilibria(sc.profile, a.box, a.step,
+                                      eps_eq=a.eps_eq, eps_tie=a.eps_tie)))
+    for u, eps_eq, eps_tie, records in cases:
+        assert records
+        for rec in records:
+            again = is_equilibrium(u, rec.prices, eps_eq, eps_tie)
+            assert again is not None and again.supports == rec.supports
+
+
 def test_compiled_caches_follow_the_profile_object():
     u = star_market()
     cp = _compiled(u)
@@ -236,10 +264,15 @@ def test_compiled_caches_follow_the_profile_object():
     # an equal but distinct profile object gets caches of its own
     twin = u.replace()
     assert twin == u and _compiled(twin) is not cp
-    key, ref = id(u), weakref.ref(cp)
-    del u, twin, cp
-    gc.collect()
-    assert ref() is None and key not in _COMPILED
+    # kept on the profile, without a cycle back to it: both go by refcount
+    assert u._compiled is cp
+    gc.disable()
+    try:
+        ref = weakref.ref(cp)
+        del u, twin, cp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- extremal ranking -----------------------------------------------------------
@@ -464,15 +497,13 @@ def record_list(u, box, step, refine):
     record at once, each through its own kernel call on an uncached
     compiled profile."""
     cp = _CompiledProfile(u)
-    cfg = DescentConfig(initial_step=step / 2) if refine else None
     records, kept = [], []
-    for cand in cp.scan_hits(grid(box, step), (step / 2 if refine else EPS_EQ) + 1e-15,
-                             1 << 17):
+    for cand in cp.scan_hits(grid(box, step), (step / 2 if refine else EPS_EQ) + 1e-15):
         point, (z,) = cand, cp.evaluate([cand], SUPPORT_TIE)[0]
         if z > EPS_EQ:
-            if cfg is None:
+            if not refine:
                 continue
-            point, z = _coordinate_descent(cp, cand, cfg, EPS_EQ)
+            point, z = _coordinate_descent(cp, cand, step / 2, EPS_EQ)
             if z > EPS_EQ:
                 continue
         if any(max(abs(a - b) for a, b in zip(point, q)) <= 1e-6 for q in kept):
@@ -682,27 +713,29 @@ def oracle_hits(u, axis, threshold):
             if cp.surplus_at(p) <= threshold]
 
 
-def test_scan_tables_follow_the_firm_object():
+def test_scan_tables_follow_the_firm_object(monkeypatch):
     u = assignment_market(2, 2, {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.5})
     axis, threshold = grid((0.0, 3.0), 0.5), 0.25 + 1e-15
     lying = u.replace(b0=truncate_at_outside(u.firms["b0"], 2.0))
     seller = u.firms["s0"]
     # one block, and 343 blocks of which each firm keeps the last few
     for batch in (1 << 17, 7):
-        truthful = _compiled(u).scan_hits(axis, threshold, batch)
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
+        truthful = _compiled(u).scan_hits(axis, threshold)
         assert truthful == oracle_hits(u, axis, threshold)
         # the same firm name with another table must not reuse b0's tables
-        hits = _compiled(lying).scan_hits(axis, threshold, batch)
+        hits = _compiled(lying).scan_hits(axis, threshold)
         assert hits == oracle_hits(lying, axis, threshold) != truthful
     # in one block the other firms, the same objects, reuse their table
-    _compiled(u).scan_hits(axis, threshold, 1 << 17)
+    monkeypatch.setattr(equilibrium, "BATCH", 1 << 17)
+    _compiled(u).scan_hits(axis, threshold)
     tables = dict(seller._scan)
-    _compiled(lying).scan_hits(axis, threshold, 1 << 17)
+    _compiled(lying).scan_hits(axis, threshold)
     assert seller._scan.keys() == tables.keys()
     assert all(seller._scan[k] is v for k, v in tables.items())
     # at most SCAN_TABLES per firm
     for k in range(SCAN_TABLES + 2):
-        _compiled(u).scan_hits(axis, threshold + k, 1 << 17)
+        _compiled(u).scan_hits(axis, threshold + k)
     assert len(seller._scan) == SCAN_TABLES
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from netclear import expr as ex
+from netclear import equilibrium, expr as ex
 from netclear.cli import load_scenario, main
 from netclear.equilibrium import (
     EPS_EQ,
@@ -47,8 +47,10 @@ def assert_matches_oracle(profile, axis, trigger):
     threshold = trigger + 1e-15
     expected = scalar_hits(cp, axis, threshold)
     levels, n = len(axis), profile.network.n
-    for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17):
-        assert cp.scan_hits(axis, threshold, batch) == expected, batch
+    with pytest.MonkeyPatch.context() as mp:
+        for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17):
+            mp.setattr(equilibrium, "BATCH", batch)
+            assert cp.scan_hits(axis, threshold) == expected, batch
     return expected
 
 
@@ -112,7 +114,7 @@ def test_constant_only_table():
     assert hits == [(p,) for p in grid((0.0, 2.0), 0.25).tolist()]
 
 
-def test_vectorized_nan_raises():
+def test_vectorized_nan_raises(monkeypatch):
     net = build_network([("x", "s", "b")])
     u = UtilityProfile(net, {
         "s": table(net, "s", {(): "0", ("x",): "p[x]"}),
@@ -122,24 +124,25 @@ def test_vectorized_nan_raises():
     # sqrt is undefined below 1: the scan raises the scalar path's error and
     # names the first grid point outside the domain
     for batch in (1, 3, 64):
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
         with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0,\)"):
-            cp.scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15, batch)
+            cp.scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15)
     with pytest.raises(NonFiniteUtility):
         cp.surplus_at((0.5,))
     # inside the domain it still decides as the scalar path does
     axis = grid((1.0, 3.0), 0.5)
     expected = [(p,) for p in axis.tolist() if cp.surplus_at((p,)) <= 0.25 + 1e-15]
-    assert cp.scan_hits(axis, 0.25 + 1e-15, 3) == expected
+    assert cp.scan_hits(axis, 0.25 + 1e-15) == expected
     assert expected
 
 
-def test_find_equilibria_is_independent_of_batch():
+def test_find_equilibria_is_independent_of_batch(monkeypatch):
     sc = load_scenario(os.path.join(SCENARIOS, "three-supplier.json"))
     base = find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step)
     levels = len(grid(sc.analysis.box, sc.analysis.step))
     for batch in (1, 7, levels ** 2 + 1):
-        assert find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step,
-                               batch=batch) == base
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
+        assert find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step) == base
 
 
 # -- grid guard ----------------------------------------------------------------
