@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -109,19 +110,26 @@ def _expr(entry: dict, where: str, **kwargs) -> ex.Expr:
     return ex.parse_expr(entry["expr"], **kwargs)
 
 
+def _finite(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def _analysis(a) -> Analysis:
     if not isinstance(a, dict):
         _fail("analysis: not a JSON object")
     box = a.get("box", (-1.0, 3.0))
-    if not (isinstance(box, (list, tuple)) and len(box) == 2
-            and all(type(x) in (int, float) for x in box)):
+    if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(map(_finite, box))):
         _fail(f"analysis.box: not two numbers: {box!r}")
-    try:
-        return Analysis(tuple(box), float(a.get("step", 0.25)),
-                        float(a.get("eps_tie", EPS_TIE)),
-                        float(a.get("eps_eq", EPS_EQ)), int(a.get("seed", 42)))
-    except (TypeError, ValueError) as e:
-        _fail(f"analysis: {e}")
+    values = {"step": 0.25, "eps_tie": EPS_TIE, "eps_eq": EPS_EQ, "seed": 42}
+    for key in values:
+        x = values[key] = a.get(key, values[key])
+        whole = key == "seed"
+        if not _finite(x) or whole and type(x) is not int:
+            _fail(f"analysis.{key}: not a {'whole' if whole else 'finite'} number: {x!r}")
+    if values["step"] <= 0:
+        _fail(f"analysis.step: not positive: {values['step']!r}")
+    return Analysis(tuple(box), float(values["step"]), float(values["eps_tie"]),
+                    float(values["eps_eq"]), values["seed"])
 
 
 def load_scenario(path: str) -> Scenario:

@@ -115,7 +115,7 @@ class EquilibriumSet(Sequence):
 
 def lex_first(prices: np.ndarray, rows: np.ndarray | None = None) -> int:
     """Index of the first lexicographically smallest price row (where ``rows``)."""
-    idx = np.flatnonzero(np.ones(len(prices), dtype=bool) if rows is None else rows)
+    idx = np.arange(len(prices)) if rows is None else np.flatnonzero(rows)
     return int(idx[np.lexsort((idx, *prices[idx].T[::-1]))[0]])
 
 

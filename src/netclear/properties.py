@@ -198,7 +198,7 @@ def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
     buys, sells = net.buys_mask(u.firm), net.sells_mask(u.firm)
     up = np.array([m & buys for m in masks], dtype=np.int64)
     down = np.array([m & sells for m in masks], dtype=np.int64)
-    bit = np.array([1 << i for i in range(net.n)], dtype=np.int64)
+    bit = np.int64(1) << np.arange(net.n, dtype=np.int64)
     bought, sold = (buys & bit) != 0, (sells & bit) != 0
     violations: list[Violation] = []
     tested = decided = 0
@@ -221,8 +221,9 @@ def _run_pairs(u: FirmUtility, name: str, variant: str, pairs: Iterable[Pair],
             error = PatternViolation(
                 f"pair {block[end][0].values} -> {block[end][1].values} "
                 "matches no one-sided pattern")
-        rows = np.flatnonzero(raising[:end] == (side == "purchase-raise")
-                              if side is not None else ~mixed[:end])
+        rows = np.arange(end)
+        if side is not None:
+            rows = rows[raising[:end] == (side == "purchase-raise")]
         points = prices[rows].reshape(-1, net.n)
         try:
             v = u.value_matrix(list(points.T))

@@ -222,7 +222,21 @@ MALFORMED = {
         edited(utilities={**ONE_TRADE["utilities"], "b": [{"bundle": []}]}),
         ["solve"], "utilities[b][0]: missing 'expr'"),
     "step-not-a-number": (edited(analysis={"step": "fine"}), ["solve"],
-                          "analysis: could not convert string to float: 'fine'"),
+                          "analysis.step: not a finite number: 'fine'"),
+    "step-numeric-string": (edited(analysis={"step": "0.5"}), ["solve"],
+                            "analysis.step: not a finite number: '0.5'"),
+    "step-not-positive": (edited(analysis={"step": 0}), ["solve"],
+                          "analysis.step: not positive: 0"),
+    "eps-eq-nan-string": (edited(analysis={"eps_eq": "nan"}), ["solve"],
+                          "analysis.eps_eq: not a finite number: 'nan'"),
+    "eps-eq-nan": (edited(analysis={"eps_eq": float("nan")}), ["solve"],
+                   "analysis.eps_eq: not a finite number: nan"),
+    "eps-tie-bool": (edited(analysis={"eps_tie": True}), ["solve"],
+                     "analysis.eps_tie: not a finite number: True"),
+    "seed-not-an-integer": (edited(analysis={"seed": 1.5}), ["solve"],
+                            "analysis.seed: not a whole number: 1.5"),
+    "box-with-infinity": (edited(analysis={"box": [0, float("inf")]}), ["solve"],
+                          "analysis.box: not two numbers"),
     "box-of-one": (edited(analysis={"box": [1]}), ["solve"],
                    "analysis.box: not two numbers"),
     "box-of-strings": (edited(analysis={"box": ["0", "2"]}), ["solve"],

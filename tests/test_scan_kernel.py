@@ -132,6 +132,7 @@ def test_vectorized_nan_raises(monkeypatch):
     # inside the domain it still decides as the scalar path does
     axis = grid((1.0, 3.0), 0.5)
     expected = [(p,) for p in axis.tolist() if cp.surplus_at((p,)) <= 0.25 + 1e-15]
+    monkeypatch.setattr(equilibrium, "BATCH", 3)
     assert cp.scan_hits(axis, 0.25 + 1e-15) == expected
     assert expected
 
