@@ -104,10 +104,39 @@ def _fail(msg: str, exc=ScenarioValidationError):
     raise exc(msg)
 
 
-def _expr(entry: dict, where: str, **kwargs) -> ex.Expr:
-    if "expr" not in entry:
-        _fail(f"{where}: missing 'expr'")
-    return ex.parse_expr(entry["expr"], **kwargs)
+_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+
+
+def _json(x, kind: type, where: str):
+    """x, when it is a JSON object, array or string (kind dict, list or str)."""
+    if not isinstance(x, kind):
+        _fail(f"{where}: not a JSON {_JSON_KINDS[kind]}")
+    return x
+
+
+def _names(x, where: str) -> list[str]:
+    """x, when it is a JSON array of strings."""
+    if not (isinstance(x, list) and all(isinstance(name, str) for name in x)):
+        _fail(f"{where}: not an array of strings")
+    return x
+
+
+def _table(entries, key: str, where: str, known=None, **kwargs) -> dict[frozenset, ex.Expr]:
+    """The JSON array of ``{key: [names], "expr": text}`` entries at where,
+    as a map from name sets to parsed expressions.  With ``known``, every
+    name must be one of its trade ids."""
+    table = {}
+    for j, entry in enumerate(_json(entries, list, where)):
+        item = f"{where}[{j}]"
+        names = _names(_json(entry, dict, item).get(key, []), f"{item}.{key}")
+        for name in names:
+            if known is not None and name not in known:
+                _fail(f"{item}: unknown trade {name!r}")
+        if "expr" not in entry:
+            _fail(f"{item}: missing 'expr'")
+        table[frozenset(names)] = ex.parse_expr(_json(entry["expr"], str, f"{item}.expr"),
+                                                **kwargs)
+    return table
 
 
 def _finite(x) -> bool:
@@ -159,26 +188,21 @@ def load_scenario(path: str) -> Scenario:
 
 def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
     trades = []
-    for i, t in enumerate(raw.get("trades", [])):
+    for i, t in enumerate(_json(raw.get("trades", []), list, f"{path}: trades")):
         for key in ("id", "seller", "buyer"):
-            if key not in t:
+            if key not in _json(t, dict, f"{path}: trades[{i}]"):
                 _fail(f"trades[{i}]: missing {key!r}")
+            _json(t[key], str, f"{path}: trades[{i}].{key}")
         trades.append((t["id"], t["seller"], t["buyer"]))
     network = build_network(trades)
     ids = [t.id for t in network.trades]
     firms = {}
-    for f, entries in raw.get("utilities", {}).items():
+    for f, entries in _json(raw.get("utilities", {}), dict, f"{path}: utilities").items():
         if f not in network.firms:
             _fail(f"utilities: unknown firm {f!r}")
-        table = {}
-        for j, entry in enumerate(entries):
-            bundle = entry.get("bundle", [])
-            for tid in bundle:
-                if tid not in network.index:
-                    _fail(f"utilities[{f}][{j}]: unknown trade {tid!r}")
-            mask = network.mask_of(bundle)
-            table[mask] = _expr(entry, f"utilities[{f}][{j}]", allowed_trades=ids)
-        firms[f] = FirmUtility(f, network, table)
+        table = _table(entries, "bundle", f"{path}: utilities[{f}]", network.index,
+                       allowed_trades=ids)
+        firms[f] = FirmUtility(f, network, {network.mask_of(b): e for b, e in table.items()})
     missing = network.firms - set(firms)
     if missing:
         _fail(f"no utilities for firms {sorted(missing)}")
@@ -187,20 +211,20 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
 
 
 def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
-    hospitals = {}
-    for h, entries in raw.get("hospitals", {}).items():
-        table = {}
-        for j, entry in enumerate(entries):
-            docs = frozenset(entry.get("doctors", []))
-            table[docs] = _expr(entry, f"hospitals[{h}][{j}]", allowed_trades=None)
-        hospitals[h] = table
+    hospitals = {h: _table(entries, "doctors", f"{path}: hospitals[{h}]", allowed_trades=None)
+                 for h, entries in _json(raw.get("hospitals", {}), dict,
+                                         f"{path}: hospitals").items()}
     doctors = {}
     outside = {}
-    for d, spec in raw.get("doctors", {}).items():
-        outside[d] = float(spec.get("outside", 0.0))
-        doctors[d] = {h: ex.parse_expr(text, allowed_trades=None,
-                                       allow_vars=("t",))
-                      for h, text in spec.get("offers", {}).items()}
+    for d, spec in _json(raw.get("doctors", {}), dict, f"{path}: doctors").items():
+        where = f"{path}: doctors[{d}]"
+        outside[d] = _json(spec, dict, where).get("outside", 0.0)
+        if not _finite(outside[d]):
+            _fail(f"{where}.outside: not a finite number: {outside[d]!r}")
+        offers = _json(spec.get("offers", {}), dict, f"{where}.offers")
+        doctors[d] = {h: ex.parse_expr(_json(text, str, f"{where}.offers[{h}]"),
+                                       allowed_trades=None, allow_vars=("t",))
+                      for h, text in offers.items()}
     market = adapters.MatchingMarket(
         tuple(sorted(hospitals)), tuple(sorted(doctors)),
         hospitals, doctors, outside)
@@ -209,17 +233,15 @@ def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
 
 
 def _load_exchange(raw: dict, analysis: Analysis, path: str) -> Scenario:
-    objects = tuple(raw.get("objects", []))
+    objects = tuple(_names(raw.get("objects", []), f"{path}: objects"))
     endowments = {}
     tables = {}
-    for agent, spec in raw.get("agents", {}).items():
-        endowments[agent] = tuple(spec.get("endowment", []))
-        table = {}
-        for j, entry in enumerate(spec.get("utility", [])):
-            table[frozenset(entry.get("objects", []))] = _expr(
-                entry, f"agents[{agent}].utility[{j}]",
-                allowed_trades=None, allow_vars=("t",))
-        tables[agent] = table
+    for agent, spec in _json(raw.get("agents", {}), dict, f"{path}: agents").items():
+        where = f"{path}: agents[{agent}]"
+        endowments[agent] = tuple(_names(_json(spec, dict, where).get("endowment", []),
+                                         f"{where}.endowment"))
+        tables[agent] = _table(spec.get("utility", []), "objects", f"{where}.utility",
+                               allowed_trades=None, allow_vars=("t",))
     economy = adapters.ExchangeEconomy(objects, endowments, tables)
     induced = adapters.induce_from_exchange(economy)
     return Scenario("exchange", induced.network, induced.profile, analysis,
@@ -514,9 +536,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        if args.box:
+        if args.box is not None:
             sc.analysis.box = (args.box[0], args.box[1])
-        if args.step:
+        if args.step is not None:
             sc.analysis.step = args.step
         result = run_command(args.cmd, sc, args)
     except NetclearError as e:

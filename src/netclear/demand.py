@@ -30,16 +30,15 @@ class DemandResult:
 
 def indirect_utility(u: FirmUtility, p: PriceVector) -> float:
     """Best achievable utility over the firm's feasible bundles."""
-    return max(u.value(mask, p.values) for mask in u.feasible_masks())
+    return max(u.values(p.values))
 
 
 def demand_set(u: FirmUtility, p: PriceVector,
                eps_tie: float = EPS_TIE) -> DemandResult:
     """All feasible bundles within ``eps_tie`` of the maximum."""
-    masks = u.feasible_masks()
-    vals = [u.value(mask, p.values) for mask in masks]
+    vals = u.values(p.values)
     best = max(vals)
-    bundles = tuple(m for m, v in zip(masks, vals) if v >= best - eps_tie)
+    bundles = tuple(m for m, v in zip(u.feasible_masks(), vals) if v >= best - eps_tie)
     return DemandResult(bundles, best, eps_tie)
 
 

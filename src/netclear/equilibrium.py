@@ -23,10 +23,12 @@ share is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.
 ``find_equilibria`` returns its rows as an ``EquilibriumSet`` that builds
 a record only when indexed; ``extremal_equilibria`` ranks on the set's
-indirect utilities.  Compiled tables live with their owners (a profile's
-with the profile object, a firm's closures and scan tables with its
-``FirmUtility``), and the feasible global sets are cached by the firms'
-feasible bundles, so misreport profiles reuse their unchanged firms' work.
+indirect utilities; exact Z at one point (``surplus_at``) reads the same
+share columns from each firm's scalar row.  Compiled tables live with
+their owners (a profile's with the profile object, a firm's two rows and
+scan tables with its ``FirmUtility``), and the feasible global sets are
+cached by the firms' feasible bundles, so misreport profiles reuse their
+unchanged firms' work.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -145,15 +147,16 @@ def _joint_sets(scopes: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]
-                   ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    """The feasible global sets and, per firm, the value-matrix column of
-    each set's share, from each firm's (omega, feasible masks) in firm order."""
+def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[
+        tuple[int, ...], tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+    """The feasible global sets; per set, the row column of each firm's
+    share; and per firm, those columns as an array.  From each firm's
+    (omega, feasible masks) in firm order."""
     globals_ = tuple(_joint_sets(scopes))
     if not globals_:
         raise AllInfeasible("no globally feasible trade set")
-    return globals_, tuple(np.array([masks.index(g & omega) for g in globals_],
-                                    dtype=np.intp) for omega, masks in scopes)
+    rows = tuple(tuple(masks.index(g & omega) for omega, masks in scopes) for g in globals_)
+    return globals_, rows, tuple(np.array(c, dtype=np.intp) for c in zip(*rows))
 
 
 class _CompiledProfile:
@@ -170,7 +173,7 @@ class _CompiledProfile:
         self.network = profile.network
         self.firms = sorted(profile.firms)
         self._net_vectors: dict[int, tuple[int, ...]] = {}
-        self.feasible_globals, self.shares = _global_tables(tuple(
+        self.feasible_globals, self.share_rows, self.shares = _global_tables(tuple(
             (fu.omega, fu.feasible_masks()) for fu in map(self.utilities.get, self.firms)))
 
     @cached_property
@@ -186,24 +189,19 @@ class _CompiledProfile:
         return vec
 
     def surplus_at(self, values: tuple[float, ...]) -> float:
-        """Exact Z at one price tuple (``FirmUtility.value`` raises
+        """Exact Z at one price tuple, from each firm's row and the share
+        columns that ``evaluate`` reads (``FirmUtility.values`` raises
         ``NonFiniteUtility`` for a value that is not finite)."""
         regrets = []
         for f in self.firms:
-            u = self.utilities[f]
-            best = None
-            table = {}
-            for mask in u.feasible_masks():
-                v = u.value(mask, values)
-                table[mask] = v
-                if best is None or v > best:
-                    best = v
-            regrets.append((u.omega, {m: best - v for m, v in table.items()}))
+            row = self.utilities[f].values(values)
+            best = max(row)
+            regrets.append([best - v for v in row])
         z = None
-        for g in self.feasible_globals:
+        for columns in self.share_rows:
             worst = 0.0
-            for omega, reg in regrets:
-                r = reg[g & omega]
+            for reg, j in zip(regrets, columns):
+                r = reg[j]
                 if r > worst:
                     worst = r
             if z is None or worst < z:
@@ -271,7 +269,7 @@ class _CompiledProfile:
         if ok is not None:
             return ok
         with np.errstate(all="ignore"):
-            vals = [np.asarray(fn(columns), dtype=float) for fn in u._vector_fns]
+            vals = [np.asarray(v, dtype=float) for v in u._vector_row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
             # raises the value matrix's error, naming the block's first bad point
             u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])

@@ -254,9 +254,14 @@ def to_source(e: Expr, index: Mapping[str, int], vectorized: bool) -> str:
     return emit(e)
 
 
-def compile_expr(e: Expr, index: Mapping[str, int], vectorized: bool = False):
-    """Compile to ``fn(p) -> float`` (or array) for fast repeated evaluation."""
-    src = to_source(e, index, vectorized)
+def compile_expr(e: Expr | tuple[Expr, ...], index: Mapping[str, int],
+                 vectorized: bool = False):
+    """Compile to ``fn(p) -> float`` (or array) for fast repeated evaluation;
+    a tuple of expressions to one closure returning the tuple of values."""
+    if isinstance(e, tuple):
+        src = "(" + "".join(f"{to_source(x, index, vectorized)}, " for x in e) + ")"
+    else:
+        src = to_source(e, index, vectorized)
     namespace: dict = {"math": math}
     if vectorized:
         import numpy as np

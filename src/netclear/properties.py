@@ -343,8 +343,9 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
                  eps_tie: float = EPS_TIE) -> PropertyReport:
     """Sampled boundedness checks (necessary conditions only).
 
-    BCV: whenever a bundle beats the best empty-handed utility, its net
-    transfer (receipts minus payments) stays above -K.  BWP: at sampled
+    BCV: whenever a bundle beats the empty-handed utility at the same
+    prices, its net transfer (receipts minus payments) stays above -K;
+    each sample reads the firm's row once.  BWP: at sampled
     prices, demanded purchases are priced below K and sales above -K.
     """
     rng = np.random.default_rng(seed)
@@ -353,14 +354,15 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
     buys = u.network.buys_mask(u.firm)
     sells = u.network.sells_mask(u.firm)
     violations = []
-    outside = u.value(0, tuple([0.0] * n)) if 0 in u.table else None
     for _ in range(samples):
         p = tuple(rng.uniform(lo, hi, size=n).tolist())
         if kind == "BCV":
-            for mask in u.feasible_masks():
-                if mask == 0:
-                    continue
-                if outside is not None and not u.value(mask, p) > outside:
+            row = u.values(p)
+            # masks ascend, so the empty bundle comes first; an infeasible
+            # one is worth minus infinity
+            outside = row[0] if 0 in u.table else -np.inf
+            for mask, v in zip(u.feasible_masks(), row):
+                if mask == 0 or not v > outside:
                     continue
                 transfer = sum(
                     (p[i] if sells >> i & 1 else -p[i])

@@ -3,6 +3,11 @@
 A bundle absent from a firm's table is infeasible (utility minus infinity).
 Infeasibility is a tagged value, ``INFEASIBLE``, never a float sentinel, so
 arithmetic and argmax code never see NaN or -inf.
+
+A firm's table compiles to one scalar closure (``values``, over a price
+tuple) and one vector closure (``value_matrix``, over price columns), each
+giving a row: every feasible bundle's utility, in ascending mask order.
+Any value in the row that is not finite raises ``NonFiniteUtility``.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ class FirmUtility:
     firm: str
     network: TradeNetwork
     table: Mapping[int, ex.Expr]
-    _scalar: dict = field(default_factory=dict, compare=False, repr=False)
-    _vector: dict = field(default_factory=dict, compare=False, repr=False)
     # grid-scan tables, filled by the equilibrium scan (bounded there)
     _scan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -73,6 +76,11 @@ class FirmUtility:
         return self.network.omega_mask(self.firm)
 
     def feasible_masks(self) -> tuple[int, ...]:
+        """The feasible bundles in ascending order: the order of a row."""
+        return self._masks
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
         return tuple(sorted(self.table))
 
     @cached_property
@@ -82,41 +90,37 @@ class FirmUtility:
         return tuple(sorted({index[t] for e in self.table.values()
                              for t in ex.price_refs(e)}))
 
-    def scalar_fn(self, mask: int):
-        fn = self._scalar.get(mask)
-        if fn is None:
-            fn = ex.compile_expr(self.table[mask], self.network.index)
-            self._scalar[mask] = fn
-        return fn
+    @cached_property
+    def _row(self):
+        return ex.compile_expr(tuple(map(self.table.get, self._masks)),
+                               self.network.index)
 
-    def vector_fn(self, mask: int):
-        fn = self._vector.get(mask)
-        if fn is None:
-            fn = ex.compile_expr(self.table[mask], self.network.index,
-                                 vectorized=True)
-            self._vector[mask] = fn
-        return fn
+    @cached_property
+    def _vector_row(self):
+        return ex.compile_expr(tuple(map(self.table.get, self._masks)),
+                               self.network.index, vectorized=True)
 
-    def value(self, mask: int, values: tuple[float, ...]):
-        """Utility at a price tuple, or INFEASIBLE.  A value that is not
-        finite, or an expression outside its domain (sqrt of a negative
-        number), raises ``NonFiniteUtility``."""
-        if mask not in self.table:
-            return INFEASIBLE
+    def values(self, point: tuple[float, ...]) -> tuple[float, ...]:
+        """Every feasible bundle's utility at a price tuple, in ascending
+        mask order.  A value that is not finite, or an expression outside
+        its domain (sqrt of a negative number), raises ``NonFiniteUtility``."""
         try:
-            v = self.scalar_fn(mask)(values)
-            if math.isfinite(v):
-                return v
+            row = self._row(point)
+            if all(map(math.isfinite, row)):
+                return row
         # math domain errors, overflow, division by zero, and the complex
         # number a negative base to a fractional power gives
         except (ValueError, ArithmeticError, TypeError):
             pass
-        raise NonFiniteUtility(f"a utility is not finite at prices {values}")
+        raise NonFiniteUtility(f"a utility is not finite at prices {point}")
 
-    @cached_property
-    def _vector_fns(self) -> tuple:
-        """The vector closures of the feasible bundles, in ascending mask order."""
-        return tuple(self.vector_fn(mask) for mask in self.feasible_masks())
+    def value(self, mask: int, point: tuple[float, ...]):
+        """Utility of one bundle at a price tuple, or INFEASIBLE for a mask
+        outside the table.  Read from ``values``, so it raises
+        ``NonFiniteUtility`` when any bundle of the firm is not finite."""
+        if mask not in self.table:
+            return INFEASIBLE
+        return self.values(point)[self._masks.index(mask)]
 
     def value_matrix(self, columns: list[np.ndarray]) -> np.ndarray:
         """``V[r, j]``: the utility of the j-th feasible bundle (ascending
@@ -124,11 +128,11 @@ class FirmUtility:
         vector closures take them (``list(points.T)`` for a 2-D array of
         points).  A value that is not finite raises ``NonFiniteUtility``,
         whose ``row`` is the first row holding one."""
-        v = np.empty((len(columns[0]), len(self._vector_fns)))
+        v = np.empty((len(columns[0]), len(self._masks)))
         # closures may overflow or leave their domain; checked below
         with np.errstate(all="ignore"):
-            for j, fn in enumerate(self._vector_fns):
-                v[:, j] = fn(columns)
+            for j, col in enumerate(self._vector_row(columns)):
+                v[:, j] = col
         if not np.isfinite(v).all():
             row = int(np.isfinite(v).all(1).argmin())
             prices = tuple(float(c[row]) for c in columns)
@@ -321,27 +325,27 @@ def check_monotonicity(u: FirmUtility, samples: int = 200,
     n = u.network.n
     buys = u.network.buys_mask(u.firm)
     sells = u.network.sells_mask(u.firm)
+    masks = u.feasible_masks()
     violations = []
     for _ in range(samples):
         base = tuple(rng.uniform(lo, hi, size=n).tolist())
-        for mask, _e in u.table.items():
-            if mask == 0:
-                continue
-            v0 = u.value(mask, base)
+        v0, v1 = u.values(base), {}
+        for mask in u.table:
+            j = masks.index(mask)
             for i in range(n):
                 if not mask >> i & 1:
                     continue
-                bumped = list(base)
-                bumped[i] += delta
-                v1 = u.value(mask, tuple(bumped))
-                if sells >> i & 1 and not v1 > v0:
+                bumped = base[:i] + (base[i] + delta,) + base[i + 1:]
+                if i not in v1:
+                    v1[i] = u.values(bumped)
+                if sells >> i & 1 and not v1[i][j] > v0[j]:
                     violations.append((u.network.ids_of(mask),
                                        u.network.trades[i].id, "sale",
-                                       base, tuple(bumped)))
-                if buys >> i & 1 and not v1 < v0:
+                                       base, bumped))
+                if buys >> i & 1 and not v1[i][j] < v0[j]:
                     violations.append((u.network.ids_of(mask),
                                        u.network.trades[i].id, "purchase",
-                                       base, tuple(bumped)))
+                                       base, bumped))
         if len(violations) > 20:
             break
     return MonotonicityReport(samples, tuple(violations))

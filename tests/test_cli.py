@@ -216,6 +216,15 @@ def edited(**changes):
     return {**ONE_TRADE, **changes}
 
 
+def bundled(name, **changes):
+    with open(scenario(name)) as fh:
+        return {**json.load(fh), **changes}
+
+
+MATCHING = bundled("matching-small.json")
+EXCHANGE = bundled("exchange-small.json")
+
+
 MALFORMED = {
     "top-level-list": ([1, 2], ["solve"], "not a JSON object"),
     "entry-without-expr": (
@@ -257,6 +266,47 @@ MALFORMED = {
                   "grid points exceed the scan cap"),
     "nib-tiny-step": (None, ["check", "--property", "nib", "--step", "1e-9"],
                       "grid points exceed the scan cap"),
+    "zero-step": (None, ["solve", "--step", "0"], "bad box (-1, 3) / step 0.0"),
+    "trade-seller-a-list": (edited(trades=[{"id": "t", "seller": ["a"], "buyer": "b"}]),
+                            ["solve"], "case.json: trades[0].seller: not a JSON string"),
+    "utilities-a-list": (edited(utilities=["x"]), ["solve"],
+                         "case.json: utilities: not a JSON object"),
+    "utility-entry-a-string": (
+        edited(utilities={**ONE_TRADE["utilities"], "a": ["x"]}), ["solve"],
+        "case.json: utilities[a][0]: not a JSON object"),
+    "expr-a-number": (
+        edited(utilities={**ONE_TRADE["utilities"], "b": [{"bundle": [], "expr": 0}]}),
+        ["solve"], "case.json: utilities[b][0].expr: not a JSON string"),
+    "bundle-a-string": (
+        edited(utilities={**ONE_TRADE["utilities"],
+                          "b": [{"bundle": [], "expr": "0"},
+                                {"bundle": "t", "expr": "2 - p[t]"}]}),
+        ["solve"], "case.json: utilities[b][1].bundle: not an array of strings"),
+    "hospital-entry-a-string": (
+        bundled("matching-small.json", hospitals={"h1": ["x"]}), ["solve"],
+        "case.json: hospitals[h1][0]: not a JSON object"),
+    "doctors-a-string": (
+        bundled("matching-small.json",
+                hospitals={"h1": [{"doctors": "d1", "expr": "3 - p[d1]"}]}),
+        ["solve"], "case.json: hospitals[h1][0].doctors: not an array of strings"),
+    "doctor-a-string": (
+        bundled("matching-small.json", doctors={**MATCHING["doctors"], "d1": "x"}),
+        ["solve"], "case.json: doctors[d1]: not a JSON object"),
+    "outside-a-string": (
+        bundled("matching-small.json", doctors={
+            **MATCHING["doctors"], "d1": {"outside": "zz", "offers": {"h1": "1 + t"}}}),
+        ["solve"], "case.json: doctors[d1].outside: not a finite number: 'zz'"),
+    "agent-a-string": (
+        bundled("exchange-small.json", agents={**EXCHANGE["agents"], "A": "x"}),
+        ["solve"], "case.json: agents[A]: not a JSON object"),
+    "objects-a-string": (bundled("exchange-small.json", objects="xy"), ["solve"],
+                         "case.json: objects: not an array of strings"),
+    "utility-objects-a-string": (
+        bundled("exchange-small.json", agents={
+            **EXCHANGE["agents"],
+            "A": {**EXCHANGE["agents"]["A"],
+                  "utility": [{"objects": "x", "expr": "1 + t"}]}}),
+        ["solve"], "case.json: agents[A].utility[0].objects: not an array of strings"),
 }
 
 
