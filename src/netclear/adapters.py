@@ -239,6 +239,8 @@ def economy_demand(e: ExchangeEconomy, f: str,
 
     The agent keeps or sells own objects and buys others; net transfer is
     receipts for objects given up minus payments for objects acquired.
+    Utilities go through ``expr.eval_expr``, not the induced network's
+    compiled rows: this is the interpreted, independent oracle of criterion 7.
     """
     owned = set(e.endowments[f])
     best = None
@@ -255,12 +257,13 @@ def economy_demand(e: ExchangeEconomy, f: str,
     return argmax, best if best is not None else float("-inf")
 
 
-def economy_equilibrium_check(e: ExchangeEconomy, q: Mapping[str, float],
-                              tol: float = 1e-9) -> bool:
+def economy_equilibrium_check(e: ExchangeEconomy, q: Mapping[str, float]) -> bool:
     """Does some allocation of objects put every agent in their demand at q?
 
     Ties between buyers of an equal-priced object resolve by trying every
-    combination of demanded bundles (instances here are tiny).
+    combination of demanded bundles (instances here are tiny).  Built on
+    ``economy_demand``, it is the independent oracle that criterion 7 checks
+    the induced network's equilibria against.
     """
     import itertools
 

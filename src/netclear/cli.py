@@ -97,11 +97,10 @@ class Scenario:
     profile: UtilityProfile
     analysis: Analysis
     induced: adapters.InducedExchange | None = None
-    path: str = ""
 
 
-def _fail(msg: str, exc=ScenarioValidationError):
-    raise exc(msg)
+def _fail(msg: str):
+    raise ScenarioValidationError(msg)
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string"}
@@ -207,7 +206,7 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
     if missing:
         _fail(f"no utilities for firms {sorted(missing)}")
     profile = UtilityProfile(network, firms)
-    return Scenario("network", network, profile, analysis, path=path)
+    return Scenario("network", network, profile, analysis)
 
 
 def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
@@ -229,7 +228,7 @@ def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
         tuple(sorted(hospitals)), tuple(sorted(doctors)),
         hospitals, doctors, outside)
     network, profile = adapters.induce_from_matching(market)
-    return Scenario("matching", network, profile, analysis, path=path)
+    return Scenario("matching", network, profile, analysis)
 
 
 def _load_exchange(raw: dict, analysis: Analysis, path: str) -> Scenario:
@@ -245,7 +244,7 @@ def _load_exchange(raw: dict, analysis: Analysis, path: str) -> Scenario:
     economy = adapters.ExchangeEconomy(objects, endowments, tables)
     induced = adapters.induce_from_exchange(economy)
     return Scenario("exchange", induced.network, induced.profile, analysis,
-                    induced=induced, path=path)
+                    induced=induced)
 
 
 # -- reporting ---------------------------------------------------------------

@@ -22,13 +22,13 @@ One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
 share is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.
 ``find_equilibria`` returns its rows as an ``EquilibriumSet`` that builds
-a record only when indexed; ``extremal_equilibria`` ranks on the set's
-indirect utilities; exact Z at one point (``surplus_at``) reads the same
-share columns from each firm's scalar row.  Compiled tables live with
-their owners (a profile's with the profile object, a firm's two rows and
-scan tables with its ``FirmUtility``), and the feasible global sets are
-cached by the firms' feasible bundles, so misreport profiles reuse their
-unchanged firms' work.
+a record only when indexed; ``dominant``, the one rule of the extremal
+check and the mechanism, ranks on the set's indirect utilities; exact Z
+at one point (``surplus_at``) reads the same share columns from each
+firm's scalar row.  Compiled tables live with their owners (a profile's
+with the profile object, a firm's two rows and scan tables with its
+``FirmUtility``), and the feasible global sets are cached by the firms'
+feasible bundles, so misreport profiles reuse their unchanged firms' work.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -40,7 +40,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -52,13 +52,7 @@ from .errors import (
     GridTooLarge,
     NotAnEquilibriumInput,
 )
-from .model import (
-    PriceVector,
-    TradeNetwork,
-    join_meet_prices,
-    net_index,
-    terminal_roles,
-)
+from .model import PriceVector, net_index, terminal_roles
 from .utility import UtilityProfile
 
 EPS_EQ = 1e-7
@@ -121,12 +115,6 @@ def lex_first(prices: np.ndarray, rows: np.ndarray | None = None) -> int:
     return int(idx[np.lexsort((idx, *prices[idx].T[::-1]))[0]])
 
 
-def _compatible_supports(network: TradeNetwork,
-                         per_firm: dict[str, Sequence[int]]) -> list[int]:
-    """Global bundles whose restriction to each firm lies in that firm's set."""
-    return _joint_sets([(network.omega_mask(f), per_firm[f]) for f in sorted(per_firm)])
-
-
 def _joint_sets(scopes: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     """Backtracking over (omega, bundles) per firm: each firm fixes all its
     trades, and two firms sharing a trade must agree."""
@@ -175,10 +163,6 @@ class _CompiledProfile:
         self._net_vectors: dict[int, tuple[int, ...]] = {}
         self.feasible_globals, self.share_rows, self.shares = _global_tables(tuple(
             (fu.omega, fu.feasible_masks()) for fu in map(self.utilities.get, self.firms)))
-
-    @cached_property
-    def price_axes(self) -> dict[str, tuple[int, ...]]:
-        return {f: self.utilities[f].price_axes for f in self.firms}
 
     def net_vector(self, mask: int) -> tuple[int, ...]:
         """Per-firm net-trade indices of a global bundle, built once per mask."""
@@ -303,7 +287,7 @@ class _CompiledProfile:
                            for d, s in enumerate(block)]
                 for f in self.firms:
                     key = grid + tuple((block[d].start, block[d].stop)
-                                       for d in self.price_axes[f])
+                                       for d in self.utilities[f].price_axes)
                     tables[f] = self._firm_ok(f, columns, threshold, key)
                 hit = np.zeros([c.size for c in columns], dtype=bool)
                 for g in self.feasible_globals:
@@ -504,15 +488,12 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
                         eps_tie: float = EPS_TIE) -> LatticeReport:
     """Check that coordinatewise join and meet prices are again equilibria,
     and that the explicit mixed supports (take each trade from whichever of
-    the two supports priced it higher / lower) support them.  Join and meet
-    go through one kernel call."""
-    _check_inputs((e, e2), eps_eq)
-    join, meet = join_meet_prices(e.prices, e2.prices)
-    cp = _compiled(u)
-    z, fit, _ = cp.evaluate([join.values, meet.values],
-                            _support_tie(eps_eq, eps_tie))
-    join_rec = cp.record(join, fit[0], z[0])
-    meet_rec = cp.record(meet, fit[1], z[1])
+    the two supports priced it higher / lower) support them.  The one pair
+    of ``lattice_pairs`` over (e, e'), with the join and meet records from
+    ``is_equilibrium``; only the mixed-support test is its own."""
+    ((_e, _e2, join, meet, _ok, _ok2),) = lattice_pairs(u, (e, e2), eps_eq, eps_tie)
+    join_rec = is_equilibrium(u, PriceVector(u.network, join), eps_eq, eps_tie)
+    meet_rec = is_equilibrium(u, PriceVector(u.network, meet), eps_eq, eps_tie)
 
     def mixed_support(target: EquilibriumRecord | None, for_join: bool):
         if target is None:
@@ -522,7 +503,7 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
         return any((xi & first) | (xi2 & ~first) in target.supports
                    for xi in e.supports for xi2 in e2.supports)
 
-    return LatticeReport(join.values, meet.values, join_rec, meet_rec,
+    return LatticeReport(join, meet, join_rec, meet_rec,
                          mixed_support(join_rec, True),
                          mixed_support(meet_rec, False))
 
@@ -535,10 +516,10 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     for every pair of records e before e2, in ``itertools.combinations``
     order.
 
-    The verdicts are those of ``verify_lattice_pair`` without its mixed
-    supports.  Join and meet are taken for all pairs at once, as Python's
-    ``max`` and ``min`` take them (e2's price only where it is strictly
-    larger or smaller), so each coordinate keeps its record's exact float.
+    ``verify_lattice_pair`` is its one-pair view.  Join and meet are taken
+    for all pairs at once, as Python's ``max`` and ``min`` take them (e2's
+    price only where it is strictly larger or smaller), so each coordinate
+    keeps its record's exact float.
     Each distinct point, told apart by bit pattern so that 0.0 and -0.0
     stay apart, is one tuple shared by its pairs, and the distinct points
     go through one kernel call.
@@ -617,6 +598,19 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
         unmatched)
 
 
+def dominant(found: EquilibriumSet, role: str) -> int | None:
+    """Index of the record of the non-empty set that makes every firm of
+    ``role`` (``terminal_roles``) weakly best off at once: within 1e-9 of
+    each such firm's largest indirect utility over the set.  Ties break
+    lexicographically on prices, then by position; None when no record
+    dominates.  ``extremal_equilibria`` and the buyer-optimal mechanism
+    both rank by it."""
+    roles = terminal_roles(found._cp.network)
+    utilities = found.best[:, [k for k, f in enumerate(found._cp.firms) if roles[f] == role]]
+    ok = (utilities >= utilities.max(0) - 1e-9).all(1)
+    return lex_first(found.prices, ok) if ok.any() else None
+
+
 @dataclass(frozen=True)
 class ExtremalReport:
     seller_optimal: EquilibriumRecord | None
@@ -637,13 +631,12 @@ def extremal_equilibria(u: UtilityProfile,
     lexicographically on prices, then by position in ``found``.  Indirect
     utilities are the set's ``best`` array, which an ``EquilibriumSet`` of
     u already holds and a plain sequence of records gets from one kernel
-    call; a record dominates when it is within 1e-9 of every column maximum.
-    The coordinatewise max (min) exists when some record is within 1e-12 of
-    the column maxima (minima) of all prices.
+    call; ``dominant`` picks each side's record.  The coordinatewise max
+    (min) exists when some record is within 1e-12 of the column maxima
+    (minima) of all prices.
     """
     if not found:
         raise EmptySet("no equilibria to compare")
-    roles = terminal_roles(u.network)
     cp = _compiled(u)
     if not (isinstance(found, EquilibriumSet) and found._cp is cp):
         prices = np.array([rec.prices.values for rec in found], dtype=float)
@@ -651,15 +644,9 @@ def extremal_equilibria(u: UtilityProfile,
         z, fit, best = cp.evaluate(prices, EPS_TIE)
         found = EquilibriumSet(cp, prices, fit, np.array(z), best, list(found))
     prices = found.prices
-
-    def dominant(role: str) -> EquilibriumRecord | None:
-        """First record achieving every group member's maximum simultaneously."""
-        utilities = found.best[:, [k for k, f in enumerate(cp.firms) if roles[f] == role]]
-        ok = (utilities >= utilities.max(0) - 1e-9).all(1)
-        return found[lex_first(prices, ok)] if ok.any() else None
-
-    seller_opt = dominant("terminal-seller")
-    buyer_opt = dominant("terminal-buyer")
+    seller, buyer = dominant(found, "terminal-seller"), dominant(found, "terminal-buyer")
+    seller_opt = None if seller is None else found[seller]
+    buyer_opt = None if buyer is None else found[buyer]
     cmax = bool((prices >= prices.max(0) - 1e-12).all(1).any())
     cmin = bool((prices <= prices.min(0) + 1e-12).all(1).any())
     return ExtremalReport(seller_opt, buyer_opt,

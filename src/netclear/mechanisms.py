@@ -1,4 +1,8 @@
-"""Buyer-optimal mechanism selection and group-strategy-proofness search."""
+"""Buyer-optimal mechanism selection and group-strategy-proofness search.
+
+The mechanism ranks the found set by ``equilibrium.dominant``, the one
+dominance rule of the extremal check, and builds only the record it picks.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from .demand import EPS_TIE
 from .equilibrium import (
     EPS_EQ,
     EquilibriumRecord,
-    extremal_equilibria,
+    dominant,
     find_equilibria,
     lex_first,
 )
@@ -26,6 +30,8 @@ from .utility import (
     truncate_at_outside,
 )
 
+GAIN_TOL = 1e-9  # a member gains when their true utility rises by more
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -33,7 +39,6 @@ class SearchConfig:
     step: float = 0.25
     eps_eq: float = EPS_EQ
     eps_tie: float = EPS_TIE
-    refine: bool = False  # grid-aligned instances do not need descent
 
 
 @dataclass(frozen=True)
@@ -50,21 +55,22 @@ def buyer_optimal_mechanism(u: UtilityProfile,
                             search: SearchConfig) -> MechanismOutcome:
     """Pick the equilibrium every terminal buyer weakly prefers.
 
-    Falls back to the lexicographically smallest price vector if no record
-    dominates for all buyers (hypothesis failure; flagged by rule suffix).
-    Designated support is the lowest bundle in bitset order.  Both choices
-    read the found set's arrays; only the chosen record is built.
+    The grid is scanned without descent.  Falls back to the
+    lexicographically smallest price vector if no record dominates for all
+    buyers (hypothesis failure; flagged by rule suffix).  Designated support
+    is the lowest bundle in bitset order.  Both choices read the found
+    set's arrays; only the chosen record is built.
     """
-    found = find_equilibria(u, search.box, search.step, refine=search.refine,
+    found = find_equilibria(u, search.box, search.step, refine=False,
                             eps_eq=search.eps_eq, eps_tie=search.eps_tie)
     if not found:
         raise NoEquilibriumFound("no equilibrium on the search grid")
-    report = extremal_equilibria(u, found)
+    row = dominant(found, "terminal-buyer")
     rule = "buyer-optimal"
-    rec = report.buyer_optimal
-    if rec is None:
-        rec = found[lex_first(found.prices)]
+    if row is None:
+        row = lex_first(found.prices)
         rule = "buyer-optimal/fallback-lex-min"
+    rec = found[row]
     bundle = rec.designated_support
     alloc = {t.id: rec.prices.values[i]
              for i, t in enumerate(u.network.trades) if bundle >> i & 1}
@@ -128,8 +134,7 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
                         search: SearchConfig,
                         truncation_levels: Sequence[float] = (),
                         uplift_amounts: Sequence[float] = (),
-                        mech=buyer_optimal_mechanism,
-                        gain_tol: float = 1e-9) -> ManipulationReport:
+                        mech=buyer_optimal_mechanism) -> ManipulationReport:
     """Scan joint misreports drawn from the truncation and single-trade
     uplift families; a violation needs EVERY coalition member to strictly
     gain under their true utilities.  Firms outside the coalition are the
@@ -175,10 +180,10 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
             - base[f]
             for f in coalition}
         dev = Deviation(tuple(name for name, _ in combo), deltas)
-        if all(d > gain_tol for d in deltas.values()):
+        if all(d > GAIN_TOL for d in deltas.values()):
             all_gain = dev
             break
-        if any(d > gain_tol for d in deltas.values()) and len(some_gain) < 10:
+        if any(d > GAIN_TOL for d in deltas.values()) and len(some_gain) < 10:
             some_gain.append(dev)
     return ManipulationReport(tuple(coalition), tried, all_gain,
                               tuple(some_gain), skipped, fallbacks)

@@ -127,21 +127,15 @@ def net_index(n: TradeNetwork, firm: str, mask: int) -> int:
 def terminal_roles(n: TradeNetwork) -> dict[str, str]:
     """Classify each firm as terminal-buyer / terminal-seller / intermediate.
 
-    A terminal buyer sells nothing; a terminal seller buys nothing.  Firms in
-    the network always touch at least one trade, so "isolated" can only occur
-    for firms added externally (kept for completeness).
+    A terminal buyer sells nothing; a terminal seller buys nothing.  Every
+    firm of the network is a party to some trade (``firms`` is built from
+    the trades), so it buys or sells something.
     """
     roles = {}
     for f in sorted(n.firms):
         up, down = n._masks_for(f)
-        if up and down:
-            roles[f] = "intermediate"
-        elif up:
-            roles[f] = "terminal-buyer"
-        elif down:
-            roles[f] = "terminal-seller"
-        else:
-            roles[f] = "isolated"
+        roles[f] = ("intermediate" if up and down
+                    else "terminal-buyer" if up else "terminal-seller")
     return roles
 
 

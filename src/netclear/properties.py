@@ -316,7 +316,6 @@ def check_single_improvement(u: FirmUtility, pairs: Iterable[Pair],
 
 
 def check_nib(u: FirmUtility, grid: Iterable[PriceVector],
-              eps: float = 1e-3, attempts: int = 40,
               eps_tie: float = EPS_TIE) -> PropertyReport:
     """No isolated bundles: every demanded bundle is uniquely demanded at
     some nearby price vector."""
@@ -327,8 +326,7 @@ def check_nib(u: FirmUtility, grid: Iterable[PriceVector],
     for p in grid:
         tested += 1
         for bundle in demand_set(u, p, eps_tie).bundles:
-            q = nib_witness(u, p, bundle, eps=eps, attempts=attempts,
-                            eps_tie=eps_tie)
+            q = nib_witness(u, p, bundle, eps_tie=eps_tie)
             if q is None:
                 violations.append(Violation(
                     p.values, p.values, bundle,

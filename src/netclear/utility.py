@@ -201,8 +201,7 @@ def make_quasilinear(firm: str, network: TradeNetwork,
 
 def make_unit_demand(firm: str, network: TradeNetwork,
                      trade_exprs: Mapping[str, ex.Expr],
-                     outside: float = 0.0,
-                     monotonicity_samples: int = 25) -> FirmUtility:
+                     outside: float = 0.0) -> FirmUtility:
     """Unit-demand terminal buyer: outside option plus one singleton per trade.
 
     Each expression must be strictly decreasing in its own trade's price
@@ -221,7 +220,7 @@ def make_unit_demand(firm: str, network: TradeNetwork,
         if not refs <= {tid}:
             raise BundleOutOfScope(
                 f"expression for {tid} references other trades: {sorted(refs)}")
-        samples = np.linspace(-10.0, 10.0, monotonicity_samples)
+        samples = np.linspace(-10.0, 10.0, 25)
         with np.errstate(all="ignore"):  # the closure reads only tid's column
             fn = ex.compile_expr(e, network.index, vectorized=True)
             vals = np.broadcast_to(fn([samples] * network.n), samples.shape)

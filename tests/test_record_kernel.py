@@ -21,7 +21,7 @@ import weakref
 import numpy as np
 import pytest
 
-from netclear import equilibrium, expr as ex
+from netclear import equilibrium, expr as ex, mechanisms
 from netclear.cli import load_scenario, main
 from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
@@ -30,10 +30,10 @@ from netclear.equilibrium import (
     EquilibriumRecord,
     EquilibriumSet,
     ExtremalReport,
-    _compatible_supports,
     _compiled,
     _coordinate_descent,
     _CompiledProfile,
+    _joint_sets,
     extremal_equilibria,
     find_equilibria,
     is_equilibrium,
@@ -145,6 +145,11 @@ def sample_points(u, box, step, seed):
 
 def kernel_supports(cp, fit):
     return [tuple(g for g, ok in zip(cp.feasible_globals, row) if ok) for row in fit]
+
+
+def _compatible_supports(network, per_firm):
+    """Global bundles whose restriction to each firm lies in that firm's set."""
+    return _joint_sets([(network.omega_mask(f), per_firm[f]) for f in sorted(per_firm)])
 
 
 def scalar_supports(u, values, tie):
@@ -623,18 +628,39 @@ MECHANISM_CASES = [(f"assignment-{seed}", random_market(seed), (0.0, 3.0), 0.5)
 @pytest.mark.parametrize("name,u,box,step", MECHANISM_CASES,
                          ids=[case[0] for case in MECHANISM_CASES])
 def test_mechanism_matches_record_list(name, u, box, step):
-    for refine in (False, True):
-        found = record_list(u, box, step, refine)
-        rec = extremal_oracle(u, found).buyer_optimal
-        rule = "buyer-optimal"
-        if rec is None:
-            rec = min(found, key=lambda r: r.prices.values)
-            rule = "buyer-optimal/fallback-lex-min"
-        out = buyer_optimal_mechanism(u, SearchConfig(box, step, refine=refine))
-        assert (out.rule, out.record) == (rule, rec)
-        assert out.prices == rec.prices and out.bundle == rec.designated_support
+    found = record_list(u, box, step, False)
+    rec = extremal_oracle(u, found).buyer_optimal
+    rule = "buyer-optimal"
+    if rec is None:
+        rec = min(found, key=lambda r: r.prices.values)
+        rule = "buyer-optimal/fallback-lex-min"
+    out = buyer_optimal_mechanism(u, SearchConfig(box, step))
+    assert (out.rule, out.record) == (rule, rec)
+    assert out.prices == rec.prices and out.bundle == rec.designated_support
     if name == "complementary":
         assert rule.endswith("fallback-lex-min") and rec.prices.values == (0.0, 2.0)
+
+
+def test_mechanism_builds_one_record(monkeypatch):
+    u = assignment_market(1, 1, {(0, 0): 2.0})
+    report = extremal_equilibria(u, find_equilibria(u, (0.0, 3.0), 0.5, refine=False))
+    # the seller-optimal record is at p = 2, the buyer-optimal one at p = 0
+    assert report.seller_optimal.prices.values == (2.0,)
+    assert report.buyer_optimal.prices.values == (0.0,)
+    built, record = [], _CompiledProfile.record
+
+    def counted(cp, p, *args):
+        built.append(p.values)
+        return record(cp, p, *args)
+
+    def extremal(*args):
+        raise AssertionError("the mechanism ranks the set itself")
+
+    monkeypatch.setattr(_CompiledProfile, "record", counted)
+    monkeypatch.setattr(equilibrium, "extremal_equilibria", extremal)
+    monkeypatch.setattr(mechanisms, "extremal_equilibria", extremal, raising=False)
+    out = buyer_optimal_mechanism(u, SearchConfig((0.0, 3.0), 0.5))
+    assert out.prices.values == (0.0,) and built == [(0.0,)]
 
 
 def test_mechanism_on_no_trades():

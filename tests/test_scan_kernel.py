@@ -92,9 +92,8 @@ def test_firm_reading_a_price_outside_its_trades():
         "b": table(net, "b", {(): "0", ("a",): "3 - p[a] - p[c]"}),
         "b2": table(net, "b2", {(): "0", ("c",): "2 - p[c]"}),
     })
-    cp = _CompiledProfile(u)
-    assert cp.price_axes["b"] == (0, 1)
-    assert cp.price_axes["s"] == (0,)
+    assert u.firms["b"].price_axes == (0, 1)
+    assert u.firms["s"].price_axes == (0,)
     axis = grid((0.0, 3.0), 0.25)
     hits = assert_matches_oracle(u, axis, EPS_EQ)
     # b buys a iff p[a] + p[c] <= 3, so the hits are not a product set
@@ -108,7 +107,7 @@ def test_constant_only_table():
         "s": table(net, "s", {(): "0", ("a",): "1"}),
         "b": table(net, "b", {(): "0", ("a",): "2 - p[a]"}),
     })
-    assert _CompiledProfile(u).price_axes["s"] == ()
+    assert u.firms["s"].price_axes == ()
     hits = assert_matches_oracle(u, grid((0.0, 3.0), 0.25), EPS_EQ)
     # s always sells (a constant 1 beats 0), b buys while p[a] <= 2
     assert hits == [(p,) for p in grid((0.0, 2.0), 0.25).tolist()]
