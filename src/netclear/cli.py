@@ -32,7 +32,7 @@ expressions in the salary ``t``)
 (agent expressions are in the net money transfer ``t``)
 
 Exit codes: 0 success / property passed, 2 property violation found,
-1 error.
+1 error (a usage error included).
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Analysis:
-    box: tuple[float, float] = (-1.0, 3.0)
-    step: float = 0.25
-    eps_tie: float = EPS_TIE
-    eps_eq: float = EPS_EQ
-    seed: int = 42
+    box: tuple[float, float]
+    step: float
+    eps_tie: float
+    eps_eq: float
+    seed: int
 
 
 @dataclass
@@ -486,34 +486,43 @@ def run_command(cmd: str, scenario: Scenario, args) -> RunResult:
     return _COMMANDS[cmd](scenario, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as any other error: one line, exit code 1."""
+
+    @staticmethod
+    def error(message):
+        raise NetclearError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="netclear",
         description="Demand, equilibria, and structural checks for trading "
                     "networks with frictions.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def command(name: str, hlp: str, grid: bool):
+        """A subcommand's parser; with grid, it takes --box and --step."""
+        p = sub.add_parser(name, help=hlp)
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", help="directory for text/JSON reports")
-        p.add_argument("--box", nargs=2, type=float, metavar=("LO", "HI"))
-        p.add_argument("--step", type=float)
+        if grid:
+            p.add_argument("--box", nargs=2, type=float, metavar=("LO", "HI"))
+            p.add_argument("--step", type=float)
+        return p
 
-    p = sub.add_parser("demand", help="demand correspondence at given prices")
-    common(p)
+    p = command("demand", "demand correspondence at given prices", False)
     p.add_argument("--firm")
     p.add_argument("--prices", nargs="+", required=True)
 
-    p = sub.add_parser("check", help="substitutability / law checks")
-    common(p)
+    p = command("check", "substitutability / law checks", True)
     p.add_argument("--firm")
     p.add_argument("--property", required=True,
                    choices=sorted(_PROPERTIES) + ["nib"])
     p.add_argument("--variant", default="expansion",
                    choices=["weak", "expansion", "contraction", "strong"])
 
-    p = sub.add_parser("solve", help="find equilibria on a grid")
-    common(p)
+    p = command("solve", "find equilibria on a grid", True)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--csv", action="store_true",
                    help="also dump the surplus grid as CSV")
@@ -523,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                       ("extremal", "seller-/buyer-optimal equilibria"),
                       ("mechanism", "buyer-optimal mechanism outcome"),
                       ("adapt", "show the induced trading network")):
-        p = sub.add_parser(name, help=hlp)
-        common(p)
+        p = command(name, hlp, name != "adapt")
         if name in ("lattice", "rural", "extremal"):
             p.add_argument("--no-refine", action="store_true")
 
@@ -532,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         sc = load_scenario(args.scenario)
-        if args.box is not None:
+        if getattr(args, "box", None) is not None:
             sc.analysis.box = (args.box[0], args.box[1])
-        if args.step is not None:
+        if getattr(args, "step", None) is not None:
             sc.analysis.step = args.step
         result = run_command(args.cmd, sc, args)
     except NetclearError as e:

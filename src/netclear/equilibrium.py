@@ -52,7 +52,7 @@ from .errors import (
     GridTooLarge,
     NotAnEquilibriumInput,
 )
-from .model import PriceVector, net_index, terminal_roles
+from .model import PriceVector, join_meet, net_index, terminal_roles
 from .utility import UtilityProfile
 
 EPS_EQ = 1e-7
@@ -488,12 +488,15 @@ def verify_lattice_pair(u: UtilityProfile, e: EquilibriumRecord,
                         eps_tie: float = EPS_TIE) -> LatticeReport:
     """Check that coordinatewise join and meet prices are again equilibria,
     and that the explicit mixed supports (take each trade from whichever of
-    the two supports priced it higher / lower) support them.  The one pair
-    of ``lattice_pairs`` over (e, e'), with the join and meet records from
-    ``is_equilibrium``; only the mixed-support test is its own."""
-    ((_e, _e2, join, meet, _ok, _ok2),) = lattice_pairs(u, (e, e2), eps_eq, eps_tie)
-    join_rec = is_equilibrium(u, PriceVector(u.network, join), eps_eq, eps_tie)
-    meet_rec = is_equilibrium(u, PriceVector(u.network, meet), eps_eq, eps_tie)
+    the two supports priced it higher / lower) support them.  Join and meet
+    follow ``lattice_pairs``' rule (``model.join_meet``), and both records
+    come from one kernel call at its support tie."""
+    _check_inputs((e, e2), eps_eq)
+    join, meet = join_meet(e.prices.values, e2.prices.values)
+    cp = _compiled(u)
+    z, fit, _ = cp.evaluate([join, meet], _support_tie(eps_eq, eps_tie))
+    join_rec, meet_rec = (cp.record(PriceVector(u.network, q), f, zq)
+                          for q, f, zq in zip((join, meet), fit, z))
 
     def mixed_support(target: EquilibriumRecord | None, for_join: bool):
         if target is None:
@@ -516,10 +519,10 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     for every pair of records e before e2, in ``itertools.combinations``
     order.
 
-    ``verify_lattice_pair`` is its one-pair view.  Join and meet are taken
-    for all pairs at once, as Python's ``max`` and ``min`` take them (e2's
-    price only where it is strictly larger or smaller), so each coordinate
-    keeps its record's exact float.
+    Join and meet are taken for all pairs at once, as Python's ``max`` and
+    ``min`` take them in ``model.join_meet`` (e2's price only where it is
+    strictly larger or smaller), so each coordinate keeps its record's
+    exact float.
     Each distinct point, told apart by bit pattern so that 0.0 and -0.0
     stay apart, is one tuple shared by its pairs, and the distinct points
     go through one kernel call.

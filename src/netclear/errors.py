@@ -80,6 +80,10 @@ class PatternViolation(NetclearError):
     """A price pair does not match the comparison pattern a checker needs."""
 
 
+class UnknownBoundKind(NetclearError, ValueError):
+    """``check_bounds`` was given a kind other than BCV and BWP."""
+
+
 # -- equilibrium -------------------------------------------------------------
 
 class NotAnEquilibriumInput(NetclearError):

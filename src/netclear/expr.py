@@ -16,8 +16,9 @@ Grammar (used by scenario files and by the builders in ``utility``):
 Piecewise guards are evaluated in order; the first match wins and the
 ``else`` arm is mandatory, so every expression is total on finite prices.
 
-Expressions compile to plain Python closures over a price tuple (scalar
-path) or to numpy-vectorized closures over column arrays (grid path).
+A row of expressions compiles to one plain Python closure over a price
+tuple (scalar path) or one numpy-vectorized closure over column arrays
+(grid path).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ExpressionSyntaxError, UnknownPriceSymbol
 
@@ -254,19 +257,12 @@ def to_source(e: Expr, index: Mapping[str, int], vectorized: bool) -> str:
     return emit(e)
 
 
-def compile_expr(e: Expr | tuple[Expr, ...], index: Mapping[str, int],
+def compile_expr(row: tuple[Expr, ...], index: Mapping[str, int],
                  vectorized: bool = False):
-    """Compile to ``fn(p) -> float`` (or array) for fast repeated evaluation;
-    a tuple of expressions to one closure returning the tuple of values."""
-    if isinstance(e, tuple):
-        src = "(" + "".join(f"{to_source(x, index, vectorized)}, " for x in e) + ")"
-    else:
-        src = to_source(e, index, vectorized)
-    namespace: dict = {"math": math}
-    if vectorized:
-        import numpy as np
-        namespace["np"] = np
-    return eval(f"lambda p: {src}", namespace)  # noqa: S307 - trusted AST
+    """Compile a row of expressions to one closure ``fn(p)`` returning the
+    tuple of their values (floats, or arrays when vectorized)."""
+    src = "(" + "".join(f"{to_source(x, index, vectorized)}, " for x in row) + ")"
+    return eval(f"lambda p: {src}", {"math": math, "np": np})  # noqa: S307 - trusted AST
 
 
 # -- parser ------------------------------------------------------------------

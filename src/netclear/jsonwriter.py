@@ -1,24 +1,21 @@
 """JSON report writer: the bytes of ``json.dump(obj, fh, indent=2,
-sort_keys=True)``, written faster.
+sort_keys=True)``, written faster, for the payloads the commands build.
 
-With an indent set, Python's ``json`` runs its pure-Python encoder, which
-re-formats a list every time it meets it.  ``dump`` follows that encoder
-rule for rule (the same type tests in the same order, ``NaN`` and
-``Infinity``, ASCII escapes, key coercion, the order of
-``sorted(dct.items())``, the same ``TypeError`` and ``ValueError``), with
-three differences that leave the bytes unchanged:
+A payload holds values of the exact types ``dict`` with ``str`` keys,
+``list``, ``tuple``, ``str``, ``int``, ``float`` (NaN and the infinities
+spelled as ``json`` spells them), ``bool`` and ``None``.  Any other type,
+subclasses such as ``np.float64`` and ``IntEnum`` included, and any key
+that is not a ``str`` raise ``TypeError`` naming the type; a container met
+again inside itself raises ``ValueError``.  Two differences from
+``json``'s pure-Python indenting encoder leave the bytes unchanged:
 
-- values of the exact types ``str``, ``int``, ``float``, ``bool`` and
-  ``None`` go through one table lookup, subclasses through the
-  ``isinstance`` tests;
-- a list or tuple of such scalars is formatted once per indent level and
-  its text reused wherever the same object appears again.  The cache is
-  keyed by the container's ``id`` and holds a reference to it, so no other
-  object can take that id during the dump (a key by value would not do:
-  ``[0.0]`` equals ``[-0.0]``, and ``[1]`` equals ``[1.0]`` and ``[True]``);
-- pieces are collected in a short buffer that is written out whenever it
-  fills, and once more when the dump ends or fails, so memory does not
-  grow with the report and a failed dump leaves the same partial text.
+- a list or tuple of scalars is formatted once per indent level, and its
+  text reused wherever the same object appears again, keyed by ``id``
+  (every container stays reachable from the payload, so no other object
+  takes its id during the dump; a key by value would not do: ``[0.0]``
+  equals ``[-0.0]``, and ``[1]`` equals ``[1.0]`` and ``[True]``);
+- pieces are buffered and written out whenever the buffer fills, and once
+  more when the dump ends or fails, so memory does not grow with the report.
 """
 
 from __future__ import annotations
@@ -51,44 +48,14 @@ _SCALARS = {
 }
 
 
-def _subclass_scalar(o) -> str | None:
-    """Text of a str, int or float subclass instance, else None."""
-    if isinstance(o, str):
-        return _encode(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    return None
-
-
-def _key(k) -> str:
-    """A non-str dict key as ``json`` coerces it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
 def dump(obj, fh) -> None:
-    """Write obj to the text file fh exactly as
-    ``json.dump(obj, fh, indent=2, sort_keys=True)`` does."""
+    """Write obj, a payload of the types the module names, to the text file
+    fh exactly as ``json.dump(obj, fh, indent=2, sort_keys=True)`` does."""
     out: list[str] = []
     append = out.append
     markers: dict[int, object] = {}
-    # indent level -> {id(list of scalars): its text}; held keeps the lists alive
+    # indent level -> {id(list of scalars): its text}
     texts: defaultdict[int, dict[int, str]] = defaultdict(dict)
-    held: list = []
     heads: dict[str, str] = {}
     scalars = _SCALARS
 
@@ -112,16 +79,8 @@ def dump(obj, fh) -> None:
         elif type(o) is list or type(o) is tuple:
             sequence(o, level)
         else:
-            text = _subclass_scalar(o)
-            if text is not None:
-                append(text)
-            elif isinstance(o, (list, tuple)):
-                sequence(o, level)
-            elif isinstance(o, dict):
-                mapping(o, level)
-            else:
-                raise TypeError(f"Object of type {o.__class__.__name__} "
-                                f"is not JSON serializable")
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
 
     def sequence(lst, level: int):
         if not lst:
@@ -144,7 +103,6 @@ def dump(obj, fh) -> None:
         else:
             text = cache[marker] = \
                 "[" + inner + sep.join(items) + "\n" + INDENT * level + "]"
-            held.append(lst)
             append(text)
             del markers[marker]
             return
@@ -174,19 +132,14 @@ def dump(obj, fh) -> None:
         cache = texts[level + 1]
         append("{" + inner)
         lead = ""
-        if type(dct) is dict:
-            # the order of sorted(dct.items()): distinct keys never compare equal
-            ordered = sorted(dct)
-            items = zip(ordered, map(dct.__getitem__, ordered))
-        else:
-            items = sorted(dct.items())
-        for k, v in items:
-            if type(k) is str:
-                head = heads.get(k)
-                if head is None:
-                    head = heads[k] = _encode(k) + ": "
-            else:
-                head = _encode(_key(k)) + ": "
+        # the order of sorted(dct.items()): distinct keys never compare equal
+        ordered = sorted(dct)
+        for k, v in zip(ordered, map(dct.__getitem__, ordered)):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            head = heads.get(k)
+            if head is None:
+                head = heads[k] = _encode(k) + ": "
             fmt = scalars.get(type(v))
             if fmt is not None:
                 append(lead + head + fmt(v))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .demand import EPS_TIE, demand_set
 from .equilibrium import grid_axis
-from .errors import NonFiniteUtility, PatternViolation
+from .errors import NonFiniteUtility, PatternViolation, UnknownBoundKind
 from .model import PriceVector
 from .utility import FirmUtility
 
@@ -94,8 +94,7 @@ def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
 
 
 def exhaustive_pattern_pairs(u: FirmUtility, box: tuple[float, float],
-                             step: float, side: str,
-                             limit: int | None = None) -> Iterator[Pair]:
+                             step: float, side: str) -> Iterator[Pair]:
     """All grid pairs following the side's pattern (small grids only), on
     the levels of ``grid_axis`` as one axis."""
     levels = grid_axis(box, step, 1).tolist()
@@ -112,16 +111,11 @@ def exhaustive_pattern_pairs(u: FirmUtility, box: tuple[float, float],
                 per_coord.append([(a, b) for a in levels for b in levels if a >= b])
         else:
             per_coord.append([(a, a) for a in levels])
-    emitted = 0
     for combo in itertools.product(*per_coord):
         base = tuple(c[0] for c in combo)
         other = tuple(c[1] for c in combo)
-        if base == other:
-            continue
-        yield (PriceVector(u.network, base), PriceVector(u.network, other))
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+        if base != other:
+            yield (PriceVector(u.network, base), PriceVector(u.network, other))
 
 
 # -- clauses ------------------------------------------------------------------
@@ -346,6 +340,8 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
     each sample reads the firm's row once.  BWP: at sampled
     prices, demanded purchases are priced below K and sales above -K.
     """
+    if kind not in ("BCV", "BWP"):
+        raise UnknownBoundKind(f"unknown bound kind {kind!r}")
     rng = np.random.default_rng(seed)
     lo, hi = box
     n = u.network.n
@@ -369,7 +365,7 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
                     violations.append(Violation(
                         p, p, mask,
                         f"net transfer {transfer:.3f} below -K"))
-        elif kind == "BWP":
+        else:
             pv = PriceVector(u.network, p)
             for mask in demand_set(u, pv, eps_tie).bundles:
                 for i in range(n):
@@ -381,8 +377,6 @@ def check_bounds(u: FirmUtility, kind: str, box: tuple[float, float],
                     if sells >> i & 1 and not p[i] > -K:
                         violations.append(Violation(p, p, mask,
                                                     "sale price <= -K"))
-        else:
-            raise ValueError(f"unknown bound kind {kind!r}")
         if len(violations) > 20:
             break
     return PropertyReport(f"bounded-{kind.lower()}", "sampled", samples,

@@ -205,11 +205,11 @@ def make_unit_demand(firm: str, network: TradeNetwork,
     """Unit-demand terminal buyer: outside option plus one singleton per trade.
 
     Each expression must be strictly decreasing in its own trade's price
-    (sampled check over a coarse range); a sample outside its domain raises
+    (sampled check over a coarse range, read from the firm's vector row,
+    which the scan reuses); a sample outside its domain raises
     ``NonFiniteUtility``.
     """
-    roles = terminal_roles(network)
-    if roles.get(firm) != "terminal-buyer":
+    if terminal_roles(network).get(firm) != "terminal-buyer":
         raise NotTerminalBuyer(firm)
     table = {0: ex.num(outside)}
     for tid, e in trade_exprs.items():
@@ -220,17 +220,19 @@ def make_unit_demand(firm: str, network: TradeNetwork,
         if not refs <= {tid}:
             raise BundleOutOfScope(
                 f"expression for {tid} references other trades: {sorted(refs)}")
-        samples = np.linspace(-10.0, 10.0, 25)
-        with np.errstate(all="ignore"):  # the closure reads only tid's column
-            fn = ex.compile_expr(e, network.index, vectorized=True)
-            vals = np.broadcast_to(fn([samples] * network.n), samples.shape)
+        table[mask] = e
+    u = FirmUtility(firm, network, table)
+    samples = np.linspace(-10.0, 10.0, 25)
+    with np.errstate(all="ignore"):  # each singleton reads only its trade's column
+        row = u._vector_row([samples] * network.n)
+    for tid in trade_exprs:
+        vals = np.broadcast_to(row[u._masks.index(network.mask_of([tid]))], samples.shape)
         if not np.isfinite(vals).all():
             raise NonFiniteUtility(f"expression for {tid} is not finite at price "
                                    f"{samples[np.isfinite(vals).argmin()]}")
         if not (np.diff(vals) < 0).all():
             raise NonMonotoneExpr(f"expression for {tid} is not decreasing")
-        table[mask] = e
-    return FirmUtility(firm, network, table)
+    return u
 
 
 def is_unit_demand(u: FirmUtility) -> bool:

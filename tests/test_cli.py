@@ -204,6 +204,16 @@ def test_box_and_step_overrides(capsys):
     assert "step 0.5" in out
 
 
+@pytest.mark.parametrize("cmd", ["demand", "check", "solve", "lattice", "rural",
+                                 "extremal", "mechanism", "adapt"])
+def test_help_exits_0_and_lists_grid_options_where_read(cmd, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([cmd, "-h"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert ("--box" in out and "--step" in out) == (cmd not in ("demand", "adapt"))
+
+
 ONE_TRADE = {
     "version": 1, "kind": "network",
     "trades": [{"id": "t", "seller": "a", "buyer": "b"}],
@@ -307,6 +317,22 @@ MALFORMED = {
             "A": {**EXCHANGE["agents"]["A"],
                   "utility": [{"objects": "x", "expr": "1 + t"}]}}),
         ["solve"], "case.json: agents[A].utility[0].objects: not an array of strings"),
+    # usage errors: argparse's own usage text and exit code 2 give way to one line
+    "demand-without-prices": (None, ["demand"],
+                              "the following arguments are required: --prices"),
+    "unknown-option": (None, ["solve", "--bogus"], "unrecognized arguments: --bogus"),
+    "unknown-command": (None, ["nope"], "argument cmd: invalid choice: 'nope'"),
+    "step-not-a-float": (None, ["solve", "--step", "fine"],
+                         "argument --step: invalid float value: 'fine'"),
+    # demand and adapt read no grid, so they take no --box or --step
+    "demand-step": (None, ["demand", "--prices", "1", "1", "1", "1", "--step", "0"],
+                    "unrecognized arguments: --step 0"),
+    "demand-box": (None, ["demand", "--prices", "1", "1", "1", "1", "--box", "0", "1"],
+                   "unrecognized arguments: --box 0 1"),
+    "adapt-step": (MATCHING, ["adapt", "--step", "0.5"],
+                   "unrecognized arguments: --step 0.5"),
+    "adapt-box": (MATCHING, ["adapt", "--box", "0", "1"],
+                  "unrecognized arguments: --box 0 1"),
 }
 
 

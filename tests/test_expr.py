@@ -109,7 +109,7 @@ def test_substitute_prices_and_vars():
 def test_compile_rejects_free_variables():
     e = Var("t")
     with pytest.raises(UnknownPriceSymbol):
-        compile_expr(e, {})
+        compile_expr((e,), {})
 
 
 @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
@@ -120,26 +120,27 @@ def test_compiled_matches_interpreter(vals):
         e = parse_expr(text)
         prices = dict(zip(index, vals))
         expected = eval_expr(e, prices)
-        got = compile_expr(e, index)(tuple(vals))
+        (got,) = compile_expr((e,), index)(tuple(vals))
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_vectorized_matches_scalar():
     index = {"w1": 0, "w2": 1}
     e = parse_expr(KINK_PIECEWISE)
-    scalar = compile_expr(e, index)
-    vector = compile_expr(e, index, vectorized=True)
+    scalar = compile_expr((e,), index)
+    vector = compile_expr((e,), index, vectorized=True)
     grid = np.linspace(-1, 4, 37)
     cols = [np.repeat(grid, len(grid)), np.tile(grid, len(grid))]
-    vec = np.asarray(vector(cols), dtype=float)
+    (vec,) = vector(cols)
+    vec = np.asarray(vec, dtype=float)
     for k in range(len(vec)):
-        assert vec[k] == pytest.approx(scalar((cols[0][k], cols[1][k])),
+        assert vec[k] == pytest.approx(scalar((cols[0][k], cols[1][k]))[0],
                                        abs=1e-12)
 
 
 def test_vectorized_constant_broadcast():
-    fn = compile_expr(Num(2.5), {}, vectorized=True)
-    out = np.asarray(fn([np.zeros(4)]), dtype=float) + np.zeros(4)
+    fn = compile_expr((Num(2.5),), {}, vectorized=True)
+    out = np.asarray(fn([np.zeros(4)])[0], dtype=float) + np.zeros(4)
     assert out.tolist() == [2.5] * 4
 
 
@@ -147,7 +148,7 @@ def test_eval_unknown_price_symbol():
     with pytest.raises(UnknownPriceSymbol):
         eval_expr(Price("missing"), {})
     with pytest.raises(UnknownPriceSymbol):
-        compile_expr(Price("missing"), {"a": 0})(
+        compile_expr((Price("missing"),), {"a": 0})(
             (0.0,))
 
 

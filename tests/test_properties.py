@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from netclear.errors import PatternViolation
+from netclear.errors import NetclearError, PatternViolation, UnknownBoundKind
 from netclear.instances import (
     assignment_market,
     kinked_pair_buyer,
@@ -172,6 +172,15 @@ def test_bounds_checks():
     assert not check_bounds(buyer, "BWP", (1, 2.5), samples=50, K=0.5).ok
     with pytest.raises(ValueError):
         check_bounds(buyer, "XXX", (-1, 4), samples=1, K=1.0)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_bounds_reject_an_unknown_kind_before_sampling(samples):
+    # the kind is checked even when no sample is drawn
+    buyer = assignment_market(1, 1, {(0, 0): 3}).firms["b0"]
+    with pytest.raises(UnknownBoundKind, match="'XYZ'") as raised:
+        check_bounds(buyer, "XYZ", (-1, 4), samples=samples, K=1.0)
+    assert isinstance(raised.value, NetclearError)
 
 
 def test_exhaustive_pairs_respect_pattern():

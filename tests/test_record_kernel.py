@@ -453,6 +453,24 @@ def test_lattice_pairs_keep_each_float_and_share_points():
             assert points.setdefault(tuple(map(repr, point)), point) is point
     # 0.0 and -0.0 stay apart, though their tuples compare equal
     assert len(points) > len(set(points.values()))
+    # the one-pair check takes join and meet by the same rule
+    for (e, e2), got in zip(itertools.combinations(records, 2), pairs):
+        rep = verify_lattice_pair(u, e, e2)
+        assert [list(map(repr, point)) for point in (rep.join_prices, rep.meet_prices)] \
+            == [list(map(repr, point)) for point in got[2:4]]
+        assert (rep.join_record is not None, rep.meet_record is not None) == got[4:]
+
+
+def test_verify_lattice_pair_makes_one_kernel_call(monkeypatch):
+    sc = load_scenario(os.path.join(SCENARIOS, "star.json"))
+    records = find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step)
+    assert len(records) > 1
+    calls = count_kernel_calls(monkeypatch)
+    for e, e2 in itertools.combinations(records, 2):
+        calls.clear()
+        verify_lattice_pair(sc.profile, e, e2)
+        # join and meet go through the kernel together
+        assert calls == [2]
 
 
 def test_pair_verifiers_on_no_trades():
@@ -670,7 +688,8 @@ def test_mechanism_on_no_trades():
     assert out.record == EquilibriumRecord(PriceVector(net, ()), (0,), {}, 0.0)
 
 
-def test_mechanism_makes_one_kernel_call(monkeypatch):
+def count_kernel_calls(monkeypatch) -> list[int]:
+    """Log the point count of every ``_CompiledProfile.evaluate`` call."""
     calls = []
     evaluate = _CompiledProfile.evaluate
 
@@ -679,6 +698,11 @@ def test_mechanism_makes_one_kernel_call(monkeypatch):
         return evaluate(cp, points, *args)
 
     monkeypatch.setattr(_CompiledProfile, "evaluate", counted)
+    return calls
+
+
+def test_mechanism_makes_one_kernel_call(monkeypatch):
+    calls = count_kernel_calls(monkeypatch)
     for u in (random_market(0), complementary_seller()):
         calls.clear()
         buyer_optimal_mechanism(u, SearchConfig((0.0, 3.0), 0.5))
@@ -687,14 +711,8 @@ def test_mechanism_makes_one_kernel_call(monkeypatch):
 
 
 def test_no_candidates_make_no_kernel_call(monkeypatch):
-    calls = []
     evaluate = _CompiledProfile.evaluate
-
-    def counted(cp, points, *args):
-        calls.append(len(points))
-        return evaluate(cp, points, *args)
-
-    monkeypatch.setattr(_CompiledProfile, "evaluate", counted)
+    calls = count_kernel_calls(monkeypatch)
     for u in (star_market(), random_market(0), constant_market()):
         calls.clear()
         for refine in (False, True):

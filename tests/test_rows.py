@@ -22,7 +22,7 @@ from netclear.instances import assignment_market
 from netclear.mechanisms import SearchConfig, buyer_optimal_mechanism, uplift_reports
 from netclear.model import PriceVector, build_network
 from netclear.properties import check_bounds
-from netclear.utility import FirmUtility
+from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear, make_unit_demand
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 NAMES = sorted(os.listdir(SCENARIOS))
@@ -119,14 +119,14 @@ def test_bounds_read_rows_inside_the_box():
 
 
 def counting_compile(monkeypatch):
-    """Replace ``expr.compile_expr`` with a wrapper that logs (expressions,
+    """Replace ``expr.compile_expr`` with a wrapper that logs (row,
     vectorized) per call."""
     calls = []
     compile_expr = ex.compile_expr
 
-    def counted(e, index, vectorized=False):
-        calls.append((e, vectorized))
-        return compile_expr(e, index, vectorized)
+    def counted(row, index, vectorized=False):
+        calls.append((row, vectorized))
+        return compile_expr(row, index, vectorized)
 
     monkeypatch.setattr(ex, "compile_expr", counted)
     return calls
@@ -137,10 +137,9 @@ def compiled_for(calls, fu):
     vectorized)."""
     own = list(map(fu.table.get, fu.feasible_masks()))
     out = []
-    for e, vectorized in calls:
-        parts = e if isinstance(e, tuple) else (e,)
-        if any(x is y for x in parts for y in own):
-            whole = len(parts) == len(own) and all(x is y for x, y in zip(parts, own))
+    for row, vectorized in calls:
+        if any(x is y for x in row for y in own):
+            whole = len(row) == len(own) and all(x is y for x, y in zip(row, own))
             out.append((whole, vectorized))
     return out
 
@@ -172,3 +171,15 @@ def test_each_firm_compiles_one_scalar_and_one_vector_row(monkeypatch):
     lying.values(p.values)
     assert len(calls) == 2
     assert sorted(compiled_for(calls, lying)) == [(True, False), (True, True)]
+
+
+def test_unit_demand_buyer_compiles_one_vector_row(monkeypatch):
+    # the builder's monotonicity check reads the vector row the scan reuses
+    net = build_network([("a", "s", "b"), ("c", "s", "b")])
+    calls = counting_compile(monkeypatch)
+    buyer = make_unit_demand("b", net, {"a": ex.parse_expr("3 - p[a]"),
+                                        "c": ex.parse_expr("2 - exp(p[c] / 4)")})
+    seller = make_quasilinear("s", net, {0: 0.0, 1: -0.5, 2: -0.25})
+    profile = UtilityProfile(net, {"b": buyer, "s": seller})
+    assert find_equilibria(profile, (0.0, 3.0), 0.5, refine=False)
+    assert compiled_for(calls, buyer) == [(True, True)]
