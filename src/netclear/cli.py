@@ -96,7 +96,6 @@ class Scenario:
     network: TradeNetwork
     profile: UtilityProfile
     analysis: Analysis
-    induced: adapters.InducedExchange | None = None
 
 
 def _fail(msg: str):
@@ -243,8 +242,7 @@ def _load_exchange(raw: dict, analysis: Analysis, path: str) -> Scenario:
                                allowed_trades=None, allow_vars=("t",))
     economy = adapters.ExchangeEconomy(objects, endowments, tables)
     induced = adapters.induce_from_exchange(economy)
-    return Scenario("exchange", induced.network, induced.profile, analysis,
-                    induced=induced)
+    return Scenario("exchange", induced.network, induced.profile, analysis)
 
 
 # -- reporting ---------------------------------------------------------------
@@ -304,18 +302,29 @@ def cmd_demand(sc: Scenario, args) -> RunResult:
     return RunResult(0, "\n".join(lines) + "\n", payload)
 
 
+_CLAUSE_VARIANTS = ("weak", "expansion", "contraction")
+_LAW_VARIANTS = ("weak", "strong")
+# per pair property: the variants --variant may name, and the check; without
+# --variant a check runs as "expansion"
 _PROPERTIES = {
-    "sss": lambda u, v, pairs, eps: check_same_side(u, v, pairs, eps),
-    "csc": lambda u, v, pairs, eps: check_cross_side(u, v, pairs, eps),
-    "fs": lambda u, v, pairs, eps: check_full_substitutability(u, v, pairs, eps),
-    "lad": lambda u, v, pairs, eps: check_aggregate_law(u, "demand", v, pairs, eps),
-    "las": lambda u, v, pairs, eps: check_aggregate_law(u, "supply", v, pairs, eps),
+    "sss": (_CLAUSE_VARIANTS, check_same_side),
+    "csc": (_CLAUSE_VARIANTS, check_cross_side),
+    "fs": (_CLAUSE_VARIANTS, check_full_substitutability),
+    "lad": (_LAW_VARIANTS,
+            lambda u, v, pairs, eps: check_aggregate_law(u, "demand", v, pairs, eps)),
+    "las": (_LAW_VARIANTS,
+            lambda u, v, pairs, eps: check_aggregate_law(u, "supply", v, pairs, eps)),
     "monotone-substitutability":
-        lambda u, v, pairs, eps: check_monotone_substitutability(u, pairs, eps),
+        ((), lambda u, v, pairs, eps: check_monotone_substitutability(u, pairs, eps)),
 }
 
 
 def cmd_check(sc: Scenario, args) -> RunResult:
+    variants, check = _PROPERTIES.get(args.property, ((), None))
+    if args.variant is not None and args.variant not in variants:
+        takes = ", ".join(variants) or "no variant"
+        raise NetclearError(f"--variant {args.variant}: --property {args.property} "
+                            f"takes {takes}")
     firm = args.firm or min((f for f, r in terminal_roles(sc.network).items()
                              if r == "intermediate"), default=min(sc.profile.firms))
     u = _firm(sc, firm)
@@ -330,8 +339,7 @@ def cmd_check(sc: Scenario, args) -> RunResult:
         pairs = [pair for side in ("purchase-raise", "sale-lower")
                  for pair in grid_pattern_pairs(u, sc.analysis.box, sc.analysis.step,
                                                 side, count=200, seed=sc.analysis.seed)]
-        report = _PROPERTIES[args.property](u, args.variant, pairs,
-                                            sc.analysis.eps_tie)
+        report = check(u, args.variant or "expansion", pairs, sc.analysis.eps_tie)
     lines = [f"{report.name} ({report.variant}) for {firm}: {report.verdict} "
              f"[{report.pairs_tested} pairs]"]
     for v in report.violations[:10]:
@@ -519,8 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--firm")
     p.add_argument("--property", required=True,
                    choices=sorted(_PROPERTIES) + ["nib"])
-    p.add_argument("--variant", default="expansion",
-                   choices=["weak", "expansion", "contraction", "strong"])
+    p.add_argument("--variant", choices=["weak", "expansion", "contraction", "strong"])
 
     p = command("solve", "find equilibria on a grid", True)
     p.add_argument("--no-refine", action="store_true")

@@ -13,9 +13,11 @@ feasible bundles), never a heuristic.
 only some prices, so the test splits by firm: Z(p) <= t iff some feasible
 global set leaves every firm within t of its best bundle.  The scan
 evaluates each firm's regrets once on the sub-grid of the axes it reads
-and combines the per-firm boolean tables by broadcasting (OR over global
-sets of an AND over firms).  Grids beyond ``MAX_GRID_POINTS`` raise
-``GridTooLarge`` up front instead of scanning without end.
+and folds them into one bitmask per chunk of at most 64 global sets (bit
+j set where the firm's share of set j is within t); a point passes when
+the AND of the firms' masks, broadcast over the block, is non-zero in some
+chunk.  Grids beyond ``MAX_GRID_POINTS`` raise ``GridTooLarge`` up front
+instead of scanning without end.
 
 One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
 ``V_f[points, bundles]``, giving Z, the supports (global sets whose every
@@ -134,17 +136,41 @@ def _joint_sets(scopes: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     return sorted(set(results))
 
 
+# unsigned dtypes of the scan's bit codes, smallest first; a chunk of global
+# sets fills at most the widest
+_CODE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+_CHUNK = np.iinfo(_CODE_TYPES[-1]).bits
+
+
+def _share_bits(rows: Sequence[tuple[int, ...]],
+                sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Per firm, the bit weight of each of its bundles over a chunk of
+    global sets: bit j is set where the bundle is the firm's share of the
+    chunk's set j.  The dtype is the smallest that holds the chunk."""
+    dtype = next(t for t in _CODE_TYPES if np.iinfo(t).bits >= len(rows))
+    weights = [[0] * k for k in sizes]
+    for j, columns in enumerate(rows):
+        for w, c in zip(weights, columns):
+            w[c] |= 1 << j
+    return tuple(np.array(w, dtype=dtype) for w in weights)
+
+
 @lru_cache(maxsize=256)
 def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[
-        tuple[int, ...], tuple[tuple[int, ...], ...], tuple[np.ndarray, ...]]:
+        tuple[int, ...], tuple[tuple[int, ...], ...], tuple[np.ndarray, ...],
+        tuple[tuple[np.ndarray, ...], ...]]:
     """The feasible global sets; per set, the row column of each firm's
-    share; and per firm, those columns as an array.  From each firm's
-    (omega, feasible masks) in firm order."""
+    share; per firm, those columns as an array; and per chunk of at most
+    64 sets, the firms' share bit weights (``_share_bits``).  From each
+    firm's (omega, feasible masks) in firm order."""
     globals_ = tuple(_joint_sets(scopes))
     if not globals_:
         raise AllInfeasible("no globally feasible trade set")
     rows = tuple(tuple(masks.index(g & omega) for omega, masks in scopes) for g in globals_)
-    return globals_, rows, tuple(np.array(c, dtype=np.intp) for c in zip(*rows))
+    sizes = [len(masks) for _omega, masks in scopes]
+    chunks = tuple(_share_bits(rows[a:a + _CHUNK], sizes)
+                   for a in range(0, len(rows), _CHUNK))
+    return globals_, rows, tuple(np.array(c, dtype=np.intp) for c in zip(*rows)), chunks
 
 
 class _CompiledProfile:
@@ -161,8 +187,9 @@ class _CompiledProfile:
         self.network = profile.network
         self.firms = sorted(profile.firms)
         self._net_vectors: dict[int, tuple[int, ...]] = {}
-        self.feasible_globals, self.share_rows, self.shares = _global_tables(tuple(
-            (fu.omega, fu.feasible_masks()) for fu in map(self.utilities.get, self.firms)))
+        self.feasible_globals, self.share_rows, self.shares, self.share_bits = \
+            _global_tables(tuple((fu.omega, fu.feasible_masks())
+                                 for fu in map(self.utilities.get, self.firms)))
 
     def net_vector(self, mask: int) -> tuple[int, ...]:
         """Per-firm net-trade indices of a global bundle, built once per mask."""
@@ -264,20 +291,29 @@ class _CompiledProfile:
             del u._scan[next(iter(u._scan))]
         return ok
 
+    def _firm_codes(self, k: int, ok: dict[int, np.ndarray]) -> list[np.ndarray]:
+        """Firm k's bit code per chunk of global sets, from its table ``ok``:
+        bit j is set where the firm's share of the chunk's set j passes."""
+        return [reduce(np.bitwise_or, (t.astype(w.dtype) * w
+                                       for t, w in zip(ok.values(), chunk[k])))
+                for chunk in self.share_bits]
+
     def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
         """Points of the grid axis^n where Z <= threshold, in row-major order.
 
         The grid is cut into blocks of at most ``BATCH`` points: a run of
         rows on one axis, every later axis whole, every earlier axis fixed.
-        A firm's table is rebuilt only when the block moves along an axis
-        it reads, and not at all when its utility object already holds it.
+        Each firm's table becomes one bit code per chunk of global sets
+        (``_firm_codes``); a point is a hit where, in some chunk, the AND of
+        the firms' codes is non-zero.  A firm's code is rebuilt only when
+        the block moves along an axis it reads, and its table is not
+        recomputed when its utility object already holds it.
         """
         n, levels = self.network.n, len(axis)
         lead = next(d for d in range(n) if levels ** (n - 1 - d) <= BATCH)
         rows = min(levels, max(1, BATCH // levels ** (n - 1 - lead)))
-        omegas = {f: self.utilities[f].omega for f in self.firms}
         grid = (axis.tobytes(), threshold)
-        tables: dict[str, dict[int, np.ndarray]] = {}
+        codes: dict[str, tuple[tuple, list[np.ndarray]]] = {}
         hits: list[tuple[float, ...]] = []
         for prefix in itertools.product(range(levels), repeat=lead):
             for a in range(0, levels, rows):
@@ -285,16 +321,21 @@ class _CompiledProfile:
                     + [slice(None)] * (n - 1 - lead)
                 columns = [axis[s].reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
                            for d, s in enumerate(block)]
-                for f in self.firms:
+                for k, f in enumerate(self.firms):
                     key = grid + tuple((block[d].start, block[d].stop)
                                        for d in self.utilities[f].price_axes)
-                    tables[f] = self._firm_ok(f, columns, threshold, key)
-                hit = np.zeros([c.size for c in columns], dtype=bool)
-                for g in self.feasible_globals:
-                    hit |= reduce(np.logical_and,
-                                  (tables[f][g & omegas[f]] for f in self.firms))
-                idx = np.argwhere(hit) + [s.start or 0 for s in block]
-                hits.extend(map(tuple, axis[idx].tolist()))
+                    if codes.get(f, (None,))[0] != key:
+                        ok = self._firm_ok(f, columns, threshold, key)
+                        codes[f] = key, self._firm_codes(k, ok)
+                hit = reduce(np.logical_or, (
+                    reduce(np.bitwise_and, chunk)
+                    for chunk in zip(*(codes[f][1] for f in self.firms))))
+                shape = tuple(c.size for c in columns)
+                if hit.shape != shape:  # an axis that no firm reads
+                    hit = np.broadcast_to(hit, shape)
+                coords = np.unravel_index(np.flatnonzero(hit), shape)
+                hits.extend(zip(*(axis[i + (s.start or 0)].tolist()
+                                  for i, s in zip(coords, block))))
         return hits
 
 
@@ -400,9 +441,10 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     The scan keeps the grid points where Z <= ``step / 2`` (with
     ``refine``) or Z <= ``eps_eq`` (without), in row-major order.  It is
     factored by firm (see the module docstring): each firm's regret test is
-    evaluated once on the sub-grid of the prices it reads, and the per-firm
-    tables are combined by boolean broadcasts in blocks of at most
-    ``BATCH`` points.  A grid of more than ``MAX_GRID_POINTS`` points
+    evaluated once on the sub-grid of the prices it reads and kept as one
+    bitmask per chunk of at most 64 global sets, and a point is kept where
+    the AND of the firms' bitmasks is non-zero in some chunk, in blocks of
+    at most ``BATCH`` points.  A grid of more than ``MAX_GRID_POINTS`` points
     raises ``GridTooLarge`` before anything is allocated.
 
     One call of the record kernel (``_CompiledProfile.evaluate``) gives

@@ -33,11 +33,13 @@ def test_load_matching_scenario():
     assert {t.id for t in sc.network.trades} == {"h1:d1", "h1:d2"}
 
 
-def test_load_exchange_scenario():
+def test_load_exchange_scenario(capsys):
     sc = load_scenario(scenario("exchange-small.json"))
     assert sc.kind == "exchange"
-    assert sc.induced is not None
     assert {t.id for t in sc.network.trades} == {"x:A>B", "y:B>A"}
+    assert main(["adapt", scenario("exchange-small.json")]) == 0
+    assert capsys.readouterr().out == (
+        "induced network with 2 trades:\n  x:A>B: A -> B\n  y:B>A: B -> A\n")
 
 
 def test_load_rejects_bad_files(tmp_path):
@@ -317,6 +319,19 @@ MALFORMED = {
             "A": {**EXCHANGE["agents"]["A"],
                   "utility": [{"objects": "x", "expr": "1 + t"}]}}),
         ["solve"], "case.json: agents[A].utility[0].objects: not an array of strings"),
+    # --variant names a variant of the checked property, or is left out
+    "nib-variant": (None, ["check", "--property", "nib", "--variant", "weak"],
+                    "--variant weak: --property nib takes no variant"),
+    "monotone-variant": (
+        None, ["check", "--property", "monotone-substitutability", "--variant", "strong"],
+        "--variant strong: --property monotone-substitutability takes no variant"),
+    "law-contraction": (None, ["check", "--property", "lad", "--variant", "contraction"],
+                        "--variant contraction: --property lad takes weak, strong"),
+    "law-expansion": (None, ["check", "--property", "las", "--variant", "expansion"],
+                      "--variant expansion: --property las takes weak, strong"),
+    "clause-strong": (None, ["check", "--property", "sss", "--variant", "strong"],
+                      "--variant strong: --property sss takes weak, expansion, "
+                      "contraction"),
     # usage errors: argparse's own usage text and exit code 2 give way to one line
     "demand-without-prices": (None, ["demand"],
                               "the following arguments are required: --prices"),

@@ -145,6 +145,52 @@ def test_find_equilibria_is_independent_of_batch(monkeypatch):
         assert find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step) == base
 
 
+# -- global-set chunks ----------------------------------------------------------
+
+def matrix_market(values, costs):
+    return assignment_market(len(values), len(values[0]), {
+        (i, j): v for i, row in enumerate(values) for j, v in enumerate(row)}, costs)
+
+
+# a 3x4 assignment market has 73 feasible global sets: a chunk of 64 and one
+# of 9.  Per market: are there hits that pass only in global sets of the
+# first chunk, and hits that pass only in sets of the second?
+TWO_CHUNKS = {
+    "second-chunk": ([[2.5, 2.0, 1.5, 1.5], [1.5, 1.0, 2.5, 1.5], [0.5, 0.5, 1.0, 2.0]],
+                     {0: 0.5, 1: 0.5, 2: 0.5}, (False, True)),
+    "both-chunks": ([[1.5, 0.5, 0.5, 1.5], [0.5, 0.5, 2.5, 1.0], [1.0, 1.5, 2.0, 1.5]],
+                    {0: 0.5, 1: 0.0, 2: 0.5}, (True, True)),
+}
+
+
+@pytest.mark.parametrize("values,costs,decided", TWO_CHUNKS.values(), ids=TWO_CHUNKS)
+def test_global_sets_across_the_chunk_boundary(values, costs, decided):
+    u = matrix_market(values, costs)
+    cp = _CompiledProfile(u)
+    assert len(cp.feasible_globals) == 73
+    assert [bits[0].dtype for bits in cp.share_bits] == [np.uint64, np.uint16]
+    axis = np.array([1.0, 2.0])
+    only_first = only_second = False
+    for trigger in (EPS_EQ, 0.5):
+        hits = assert_matches_oracle(u, axis, trigger)
+        _z, fit, _best = cp.evaluate(hits, trigger + 1e-15)
+        first, second = fit[:, :64].any(1), fit[:, 64:].any(1)
+        only_first |= bool((first & ~second).any())
+        only_second |= bool((second & ~first).any())
+    assert (only_first, only_second) == decided
+
+
+def test_global_sets_in_one_uint8_chunk():
+    # one seller, seven buyers: no sale or one of seven, 8 global sets
+    u = matrix_market([[1.0 + 0.25 * j for j in range(7)]], {0: 0.5})
+    cp = _CompiledProfile(u)
+    assert len(cp.feasible_globals) == 8
+    assert [bits[0].dtype for bits in cp.share_bits] == [np.uint8]
+    axis = grid((1.5, 2.5), 0.5)
+    assert assert_matches_oracle(u, axis, EPS_EQ)
+    assert assert_matches_oracle(u, axis, 0.25)
+
+
 # -- grid guard ----------------------------------------------------------------
 
 def four_by_four():
