@@ -155,40 +155,23 @@ def _exchange_utility(e: ExchangeEconomy, network: TradeNetwork,
     sells = network.sells_mask(f)
     trade_list = [(i, t) for i, t in enumerate(network.trades)
                   if omega >> i & 1]
-    members = [i for i, _t in trade_list]
-    for sub in range(1 << len(members)):
+    for sub in range(1 << len(trade_list)):
         mask = 0
-        objs_sold = set()
-        objs_bought = set()
-        ok = True
-        for k, (i, t) in enumerate(trade_list):
-            if not sub >> k & 1:
-                continue
-            mask |= 1 << i
-            x = object_of[t.id]
-            if sells >> i & 1:
-                if x in objs_sold:
-                    ok = False  # same object sold twice
-                    break
-                objs_sold.add(x)
-            else:
-                if x in objs_bought:
-                    ok = False  # same object bought twice
-                    break
-                objs_bought.add(x)
-        if not ok:
-            continue
-        if objs_sold & objs_bought:
-            continue
-        final = frozenset((owned - objs_sold) | objs_bought)
-        if final not in e.tables[f]:
-            continue
-        # transfer in clipped (non-negative) prices, plus correction terms
         sale_ids = []
         buy_ids = []
         for k, (i, t) in enumerate(trade_list):
             if sub >> k & 1:
+                mask |= 1 << i
                 (sale_ids if sells >> i & 1 else buy_ids).append(t.id)
+        # f sells only its own objects, and buys each object it lacks on the
+        # one trade from its owner, so only a sale can repeat an object
+        objs_sold = {object_of[tid] for tid in sale_ids}
+        if len(objs_sold) < len(sale_ids):
+            continue  # same object sold twice
+        final = frozenset((owned - objs_sold) | {object_of[tid] for tid in buy_ids})
+        if final not in e.tables[f]:
+            continue
+        # transfer in clipped (non-negative) prices, plus correction terms
         transfer: ex.Expr = ex.num(0.0)
         correction: ex.Expr = ex.num(0.0)
         for tid in sale_ids:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -304,23 +305,23 @@ def cmd_demand(sc: Scenario, args) -> RunResult:
 
 _CLAUSE_VARIANTS = ("weak", "expansion", "contraction")
 _LAW_VARIANTS = ("weak", "strong")
-# per pair property: the variants --variant may name, and the check; without
-# --variant a check runs as "expansion"
+# per pair property: the variants --variant may name, the variant a check
+# runs as without --variant, and the check
 _PROPERTIES = {
-    "sss": (_CLAUSE_VARIANTS, check_same_side),
-    "csc": (_CLAUSE_VARIANTS, check_cross_side),
-    "fs": (_CLAUSE_VARIANTS, check_full_substitutability),
-    "lad": (_LAW_VARIANTS,
+    "sss": (_CLAUSE_VARIANTS, "expansion", check_same_side),
+    "csc": (_CLAUSE_VARIANTS, "expansion", check_cross_side),
+    "fs": (_CLAUSE_VARIANTS, "expansion", check_full_substitutability),
+    "lad": (_LAW_VARIANTS, "strong",
             lambda u, v, pairs, eps: check_aggregate_law(u, "demand", v, pairs, eps)),
-    "las": (_LAW_VARIANTS,
+    "las": (_LAW_VARIANTS, "strong",
             lambda u, v, pairs, eps: check_aggregate_law(u, "supply", v, pairs, eps)),
     "monotone-substitutability":
-        ((), lambda u, v, pairs, eps: check_monotone_substitutability(u, pairs, eps)),
+        ((), None, lambda u, v, pairs, eps: check_monotone_substitutability(u, pairs, eps)),
 }
 
 
 def cmd_check(sc: Scenario, args) -> RunResult:
-    variants, check = _PROPERTIES.get(args.property, ((), None))
+    variants, default, check = _PROPERTIES.get(args.property, ((), None, None))
     if args.variant is not None and args.variant not in variants:
         takes = ", ".join(variants) or "no variant"
         raise NetclearError(f"--variant {args.variant}: --property {args.property} "
@@ -339,7 +340,7 @@ def cmd_check(sc: Scenario, args) -> RunResult:
         pairs = [pair for side in ("purchase-raise", "sale-lower")
                  for pair in grid_pattern_pairs(u, sc.analysis.box, sc.analysis.step,
                                                 side, count=200, seed=sc.analysis.seed)]
-        report = check(u, args.variant or "expansion", pairs, sc.analysis.eps_tie)
+        report = check(u, args.variant or default, pairs, sc.analysis.eps_tie)
     lines = [f"{report.name} ({report.variant}) for {firm}: {report.verdict} "
              f"[{report.pairs_tested} pairs]"]
     for v in report.violations[:10]:
@@ -502,7 +503,9 @@ class _Parser(argparse.ArgumentParser):
         raise NetclearError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = _Parser(
         prog="netclear",
         description="Demand, equilibria, and structural checks for trading "

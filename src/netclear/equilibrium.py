@@ -28,9 +28,11 @@ a record only when indexed; ``dominant``, the one rule of the extremal
 check and the mechanism, ranks on the set's indirect utilities; exact Z
 at one point (``surplus_at``) reads the same share columns from each
 firm's scalar row.  Compiled tables live with their owners (a profile's
-with the profile object, a firm's two rows and scan tables with its
-``FirmUtility``), and the feasible global sets are cached by the firms'
-feasible bundles, so misreport profiles reuse their unchanged firms' work.
+with the profile object, a firm's two rows and scan bit codes with its
+``FirmUtility``, the codes keyed by the feasible global sets that fix
+their bit positions), and the feasible global sets are cached by the
+firms' feasible bundles, so misreport profiles reuse their unchanged
+firms' work.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -68,7 +70,8 @@ BATCH = 1 << 17
 # sweep with no gain, until it falls below DESCENT_STOP or after DESCENT_SWEEPS
 DESCENT_STOP = 1e-10
 DESCENT_SWEEPS = 200
-# scan tables kept per firm utility object, oldest dropped first
+# scan bit codes kept per firm utility object (one entry per global sets,
+# grid, threshold and block extent), oldest dropped first
 SCAN_TABLES = 4
 
 
@@ -266,54 +269,51 @@ class _CompiledProfile:
         net = dict(zip(self.firms, self.net_vector(supports[0])))
         return EquilibriumRecord(p, supports, net, z)
 
-    def _firm_ok(self, f: str, columns: list[np.ndarray], threshold: float,
-                 key: tuple) -> dict[int, np.ndarray]:
-        """Per bundle of firm f: is its regret at most threshold?
+    def _firm_codes(self, k: int, columns: list[np.ndarray], threshold: float,
+                    key: tuple) -> list[np.ndarray]:
+        """Firm k's bit code per chunk of global sets: bit j is set where the
+        firm's share of the chunk's set j has regret at most threshold.
 
-        The result broadcasts over the block but only spans the axes f
-        reads.  The last ``SCAN_TABLES`` are kept on f's utility object by
-        ``key`` (grid axis, threshold, block extent on those axes), so every
+        A code broadcasts over the block but only spans the axes the firm
+        reads.  The last ``SCAN_TABLES`` are kept on its utility object by
+        ``key`` (the feasible global sets, which fix the bit positions; the
+        grid axis; the threshold; the block extent on those axes), so every
         profile holding the object reuses them.  A non-finite value raises
         ``NonFiniteUtility``."""
-        u = self.utilities[f]
-        ok = u._scan.get(key)
-        if ok is not None:
-            return ok
+        u = self.utilities[self.firms[k]]
+        codes = u._scan.get(key)
+        if codes is not None:
+            return codes
         with np.errstate(all="ignore"):
             vals = [np.asarray(v, dtype=float) for v in u._vector_row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
             # raises the value matrix's error, naming the block's first bad point
             u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])
         best = reduce(np.maximum, vals)
-        ok = u._scan[key] = {m: best - v <= threshold
-                             for m, v in zip(u.feasible_masks(), vals)}
+        ok = [best - v <= threshold for v in vals]
+        codes = u._scan[key] = [
+            reduce(np.bitwise_or, (t.astype(w.dtype) * w for t, w in zip(ok, chunk[k])))
+            for chunk in self.share_bits]
         if len(u._scan) > SCAN_TABLES:
             del u._scan[next(iter(u._scan))]
-        return ok
-
-    def _firm_codes(self, k: int, ok: dict[int, np.ndarray]) -> list[np.ndarray]:
-        """Firm k's bit code per chunk of global sets, from its table ``ok``:
-        bit j is set where the firm's share of the chunk's set j passes."""
-        return [reduce(np.bitwise_or, (t.astype(w.dtype) * w
-                                       for t, w in zip(ok.values(), chunk[k])))
-                for chunk in self.share_bits]
+        return codes
 
     def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
         """Points of the grid axis^n where Z <= threshold, in row-major order.
 
         The grid is cut into blocks of at most ``BATCH`` points: a run of
         rows on one axis, every later axis whole, every earlier axis fixed.
-        Each firm's table becomes one bit code per chunk of global sets
+        Each firm gives one bit code per chunk of global sets
         (``_firm_codes``); a point is a hit where, in some chunk, the AND of
-        the firms' codes is non-zero.  A firm's code is rebuilt only when
-        the block moves along an axis it reads, and its table is not
-        recomputed when its utility object already holds it.
+        the firms' codes is non-zero.  A firm's code is computed only when
+        its utility object does not hold it yet for the block's extent on
+        the axes it reads.
         """
         n, levels = self.network.n, len(axis)
         lead = next(d for d in range(n) if levels ** (n - 1 - d) <= BATCH)
         rows = min(levels, max(1, BATCH // levels ** (n - 1 - lead)))
-        grid = (axis.tobytes(), threshold)
-        codes: dict[str, tuple[tuple, list[np.ndarray]]] = {}
+        grid = (self.feasible_globals, axis.tobytes(), threshold)
+        axes = [self.utilities[f].price_axes for f in self.firms]
         hits: list[tuple[float, ...]] = []
         for prefix in itertools.product(range(levels), repeat=lead):
             for a in range(0, levels, rows):
@@ -321,15 +321,11 @@ class _CompiledProfile:
                     + [slice(None)] * (n - 1 - lead)
                 columns = [axis[s].reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
                            for d, s in enumerate(block)]
-                for k, f in enumerate(self.firms):
-                    key = grid + tuple((block[d].start, block[d].stop)
-                                       for d in self.utilities[f].price_axes)
-                    if codes.get(f, (None,))[0] != key:
-                        ok = self._firm_ok(f, columns, threshold, key)
-                        codes[f] = key, self._firm_codes(k, ok)
-                hit = reduce(np.logical_or, (
-                    reduce(np.bitwise_and, chunk)
-                    for chunk in zip(*(codes[f][1] for f in self.firms))))
+                codes = [self._firm_codes(k, columns, threshold, grid + tuple(
+                    (block[d].start, block[d].stop) for d in read))
+                    for k, read in enumerate(axes)]
+                hit = reduce(np.logical_or, (reduce(np.bitwise_and, chunk)
+                                             for chunk in zip(*codes)))
                 shape = tuple(c.size for c in columns)
                 if hit.shape != shape:  # an axis that no firm reads
                     hit = np.broadcast_to(hit, shape)

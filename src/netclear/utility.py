@@ -56,7 +56,8 @@ class FirmUtility:
     firm: str
     network: TradeNetwork
     table: Mapping[int, ex.Expr]
-    # grid-scan tables, filled by the equilibrium scan (bounded there)
+    # grid-scan bit codes keyed by the global sets, filled by the equilibrium
+    # scan (bounded there)
     _scan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from netclear.cli import load_scenario, main
+from netclear.cli import build_parser, load_scenario, main
 from netclear.errors import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -101,6 +101,40 @@ def test_check_exit_codes(capsys):
                  "--property", "sss", "--variant", "expansion"])
     assert code == 0
     assert "pass-on-sample" in capsys.readouterr().out
+
+
+def run_with_reports(argv, out_dir, capsys):
+    """(exit code, stdout, {report file: bytes}) of one ``main`` call."""
+    code = main(argv + ["--out", str(out_dir)])
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("prop", ["lad", "las"])
+def test_law_check_without_variant_is_the_strong_law(prop, tmp_path, capsys):
+    argv = ["check", scenario("kinked-pair.json"), "--firm", "f", "--property", prop]
+    code, out, files = run_with_reports(argv, tmp_path / "default", capsys)
+    assert (code, out, files) == run_with_reports(argv + ["--variant", "strong"],
+                                                   tmp_path / "strong", capsys)
+    assert "(strong) for f" in out
+    assert json.loads(files["kinked-pair-check.json"])["variant"] == "strong"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_parser_as_built(tmp_path, capsys):
+    argv = ["check", scenario("kinked-pair.json"), "--firm", "f", "--property", "lad"]
+    build_parser.cache_clear()
+    alone = run_with_reports(argv, tmp_path / "alone", capsys)
+    build_parser.cache_clear()
+    for bad in (["check", scenario("kinked-pair.json"), "--property", "bogus"],
+                ["check", scenario("kinked-pair.json"), "--firm", "g", "--variant"],
+                ["solve", scenario("star.json"), "--step", "fine"]):
+        assert main(bad) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert run_with_reports(argv, tmp_path / "after", capsys) == alone
 
 
 def test_check_non_finite_utility_is_an_error(tmp_path, capsys):

@@ -783,12 +783,32 @@ def test_scan_tables_follow_the_firm_object(monkeypatch):
     assert len(seller._scan) == SCAN_TABLES
 
 
+def test_scan_codes_are_keyed_by_the_global_sets():
+    u = assignment_market(2, 2, {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.5})
+    axis, threshold = grid((0.0, 3.0), 0.5), 0.25 + 1e-15
+    # b0 keeps its expressions but can no longer buy from s0: the same seller
+    # object in a profile with other global sets, on the same grid and block
+    fu = u.firms["b0"]
+    t00 = u.network.mask_of(["t00"])
+    narrow = u.replace(b0=FirmUtility("b0", u.network, {
+        m: e for m, e in fu.table.items() if m != t00}))
+    seller = u.firms["s0"]
+    assert narrow.firms["s0"] is seller
+    assert _compiled(narrow).feasible_globals != _compiled(u).feasible_globals
+    for v in (u, narrow):
+        assert _compiled(v).scan_hits(axis, threshold) == oracle_hits(v, axis, threshold)
+    # one block each: one entry per profile's global sets
+    assert len(seller._scan) == 2
+    assert {key[0] for key in seller._scan} == {_compiled(u).feasible_globals,
+                                               _compiled(narrow).feasible_globals}
+
+
 def test_scan_tables_are_freed_with_their_firm():
     u = random_market(2)
     find_equilibria(u, (0.0, 3.0), 0.5)
     fu = u.firms["b0"]
-    table = next(iter(next(iter(fu._scan.values())).values()))
-    refs = weakref.ref(table), weakref.ref(_compiled(u))
-    del u, fu, table
+    code = next(iter(fu._scan.values()))[0]
+    refs = weakref.ref(code), weakref.ref(_compiled(u))
+    del u, fu, code
     gc.collect()
     assert all(ref() is None for ref in refs)
