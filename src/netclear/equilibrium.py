@@ -22,17 +22,18 @@ instead of scanning without end.
 One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
 ``V_f[points, bundles]``, giving Z, the supports (global sets whose every
 share is within the tie tolerance of the firm's best; these factor by firm
-because every trade belongs to some firm) and the indirect utilities.
-``find_equilibria`` returns its rows as an ``EquilibriumSet`` that builds
-a record only when indexed; ``dominant``, the one rule of the extremal
-check and the mechanism, ranks on the set's indirect utilities; exact Z
-at one point (``surplus_at``) reads the same share columns from each
-firm's scalar row.  Compiled tables live with their owners (a profile's
-with the profile object, a firm's two rows and scan bit codes with its
-``FirmUtility``, the codes keyed by the feasible global sets that fix
-their bit positions), and the feasible global sets are cached by the
-firms' feasible bundles, so misreport profiles reuse their unchanged
-firms' work.
+because every trade belongs to some firm) and the indirect utilities.  It
+is the one implementation of Z: ``surplus`` is a batch of one point, and
+the descent of ``find_equilibria`` sends the trials of all its starts
+through it.  ``find_equilibria`` returns its rows as an ``EquilibriumSet``
+that builds a record only when indexed; ``dominant``, the one rule of the
+extremal check and the mechanism, ranks on the set's indirect utilities.
+Compiled tables live with their owners (a profile's with the profile
+object, a firm's row closure and scan bit codes with its ``FirmUtility``,
+the codes keyed by the feasible global sets that fix their bit
+positions), and the feasible global sets are cached by the firms'
+feasible bundles, so misreport profiles reuse their unchanged firms'
+work.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -160,12 +161,11 @@ def _share_bits(rows: Sequence[tuple[int, ...]],
 
 @lru_cache(maxsize=256)
 def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[
-        tuple[int, ...], tuple[tuple[int, ...], ...], tuple[np.ndarray, ...],
-        tuple[tuple[np.ndarray, ...], ...]]:
-    """The feasible global sets; per set, the row column of each firm's
-    share; per firm, those columns as an array; and per chunk of at most
-    64 sets, the firms' share bit weights (``_share_bits``).  From each
-    firm's (omega, feasible masks) in firm order."""
+        tuple[int, ...], tuple[np.ndarray, ...], tuple[tuple[np.ndarray, ...], ...]]:
+    """The feasible global sets; per firm, the row column of its share of
+    each set; and per chunk of at most 64 sets, the firms' share bit
+    weights (``_share_bits``).  From each firm's (omega, feasible masks) in
+    firm order."""
     globals_ = tuple(_joint_sets(scopes))
     if not globals_:
         raise AllInfeasible("no globally feasible trade set")
@@ -173,12 +173,11 @@ def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[
     sizes = [len(masks) for _omega, masks in scopes]
     chunks = tuple(_share_bits(rows[a:a + _CHUNK], sizes)
                    for a in range(0, len(rows), _CHUNK))
-    return globals_, rows, tuple(np.array(c, dtype=np.intp) for c in zip(*rows)), chunks
+    return globals_, tuple(np.array(c, dtype=np.intp) for c in zip(*rows)), chunks
 
 
 class _CompiledProfile:
-    """Per-profile caches shared by surplus evaluation, grid scans and the
-    record kernel.
+    """Per-profile caches shared by the grid scan and the record kernel.
 
     It is kept on the profile (``_compiled``) and holds the profile's firm
     utilities, not the profile itself, so the two form no reference cycle
@@ -190,7 +189,7 @@ class _CompiledProfile:
         self.network = profile.network
         self.firms = sorted(profile.firms)
         self._net_vectors: dict[int, tuple[int, ...]] = {}
-        self.feasible_globals, self.share_rows, self.shares, self.share_bits = \
+        self.feasible_globals, self.shares, self.share_bits = \
             _global_tables(tuple((fu.omega, fu.feasible_masks())
                                  for fu in map(self.utilities.get, self.firms)))
 
@@ -201,28 +200,6 @@ class _CompiledProfile:
             vec = self._net_vectors[mask] = tuple(
                 net_index(self.network, f, mask) for f in self.firms)
         return vec
-
-    def surplus_at(self, values: tuple[float, ...]) -> float:
-        """Exact Z at one price tuple, from each firm's row and the share
-        columns that ``evaluate`` reads (``FirmUtility.values`` raises
-        ``NonFiniteUtility`` for a value that is not finite)."""
-        regrets = []
-        for f in self.firms:
-            row = self.utilities[f].values(values)
-            best = max(row)
-            regrets.append([best - v for v in row])
-        z = None
-        for columns in self.share_rows:
-            worst = 0.0
-            for reg, j in zip(regrets, columns):
-                r = reg[j]
-                if r > worst:
-                    worst = r
-            if z is None or worst < z:
-                z = worst
-                if z == 0.0:
-                    break
-        return z
 
     def evaluate(self, points, tie: float
                  ) -> tuple[list[float], np.ndarray, np.ndarray]:
@@ -285,7 +262,7 @@ class _CompiledProfile:
         if codes is not None:
             return codes
         with np.errstate(all="ignore"):
-            vals = [np.asarray(v, dtype=float) for v in u._vector_row(columns)]
+            vals = [np.asarray(v, dtype=float) for v in u._row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
             # raises the value matrix's error, naming the block's first bad point
             u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])
@@ -360,8 +337,9 @@ def _check_inputs(records: Sequence[EquilibriumRecord], eps_eq: float) -> None:
 
 
 def surplus(u: UtilityProfile, p: PriceVector) -> float:
-    """Z(p): zero exactly at equilibrium prices, positive elsewhere."""
-    return _compiled(u).surplus_at(p.values)
+    """Z(p): zero exactly at equilibrium prices, positive elsewhere; a
+    batch of one through ``_CompiledProfile.evaluate``."""
+    return _compiled(u).evaluate([p.values], EPS_TIE)[0][0]
 
 
 def is_equilibrium(u: UtilityProfile, p: PriceVector,
@@ -375,27 +353,39 @@ def is_equilibrium(u: UtilityProfile, p: PriceVector,
     return cp.record(p, fit, z)
 
 
-def _coordinate_descent(cp: _CompiledProfile, start: tuple[float, ...],
-                        step: float, eps_eq: float) -> tuple[tuple[float, ...], float]:
-    """Derivative-free cyclic coordinate line-search on Z from a first step."""
-    x = list(start)
-    z = cp.surplus_at(tuple(x))
-    cycles = 0
-    n = len(x)
-    while step >= DESCENT_STOP and z > eps_eq * 0.1 and cycles < DESCENT_SWEEPS:
-        improved = False
-        for i in range(n):
-            for cand in (x[i] + step, x[i] - step):
-                trial = list(x)
-                trial[i] = cand
-                zt = cp.surplus_at(tuple(trial))
-                if zt < z - 1e-15:
-                    x, z = trial, zt
-                    improved = True
-        if not improved:
-            step *= 0.5
-        cycles += 1
-    return tuple(x), z
+def _coordinate_descent(cp: _CompiledProfile, starts: np.ndarray, z: np.ndarray,
+                        step: float, eps_eq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative-free cyclic coordinate line-search on Z from each row of
+    starts (whose Z is z), all in lockstep; returns the end points and Z.
+
+    Each start keeps its own step, first ``step``, halved after a sweep in
+    which it gained nothing.  A start runs while its step is at least
+    ``DESCENT_STOP`` and its Z above ``eps_eq / 10``, for at most
+    ``DESCENT_SWEEPS`` sweeps.  Per coordinate, the up and down trials of
+    all running starts go through one kernel call; a start takes the up
+    trial when it lowers Z by more than 1e-15, then the down trial when it
+    lowers that Z by more than 1e-15."""
+    x, z = starts.copy(), z.copy()
+    steps = np.full(len(x), step)
+    for _sweep in range(DESCENT_SWEEPS):
+        live = np.flatnonzero((steps >= DESCENT_STOP) & (z > eps_eq * 0.1))
+        if not len(live):
+            break
+        improved = np.zeros(len(live), dtype=bool)
+        for i in range(x.shape[1]):
+            # rows up_0, down_0, up_1, down_1, ...
+            trials = np.repeat(x[live], 2, axis=0)
+            trials[:, i] += np.stack([steps[live], -steps[live]], 1).ravel()
+            zt = np.array(cp.evaluate(trials, EPS_TIE)[0]).reshape(-1, 2)
+            zl, xi = z[live], x[live, i]
+            for side in (0, 1):
+                take = zt[:, side] < zl - 1e-15
+                zl = np.where(take, zt[:, side], zl)
+                xi = np.where(take, trials[side::2, i], xi)
+                improved |= take
+            z[live], x[live, i] = zl, xi
+        steps[live[~improved]] *= 0.5
+    return x, z
 
 
 def grid_surplus(u: UtilityProfile, box: tuple[float, float],
@@ -418,7 +408,7 @@ def grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
     ``GridTooLarge`` when ``levels ** n`` exceeds ``MAX_GRID_POINTS``.
     """
     lo, hi = box
-    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
+    if not (hi > lo and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
         raise EmptyBox(f"bad box {box} / step {step}")
     points = math.ceil((hi + step / 2 - lo) / step) ** n
     if points > MAX_GRID_POINTS:
@@ -446,9 +436,9 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     One call of the record kernel (``_CompiledProfile.evaluate``) gives
     exact Z, the supports and the indirect utilities of every candidate;
     candidates with Z <= ``eps_eq`` are kept directly.  The rest start a
-    coordinate descent on scalar Z (when ``refine``; its first step is
-    ``step / 2``), and the refined points that survive deduplication go
-    through one more kernel call.  The kept
+    coordinate descent on the same kernel's Z (when ``refine``; its first
+    step is ``step / 2``, and all starts run in lockstep), and the refined
+    points that survive deduplication go through one more kernel call.  The kept
     rows with a support make the returned ``EquilibriumSet``, whose records
     are built only when indexed.
 
@@ -471,15 +461,14 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
     z, fit, best = cp.evaluate(points, support_tie)
-    # (point, its row in the kernel output, or None once refined)
-    found: list[tuple[tuple[float, ...], int | None]] = []
-    for i, cand in enumerate(candidates):
-        if z[i] <= eps_eq:
-            found.append((cand, i))
-        elif refine:
-            refined, zr = _coordinate_descent(cp, cand, step / 2, eps_eq)
-            if zr <= eps_eq:
-                found.append((refined, None))
+    # candidate -> (point, its row in the kernel output, or None once refined)
+    hits = {i: (cand, i) for i, cand in enumerate(candidates) if z[i] <= eps_eq}
+    starts = [i for i in range(len(candidates)) if i not in hits] if refine else []
+    if starts:
+        ends, zr = _coordinate_descent(cp, points[starts], np.array(z)[starts], step / 2, eps_eq)
+        hits.update((i, (tuple(end), None))
+                    for i, end, ze in zip(starts, ends.tolist(), zr.tolist()) if ze <= eps_eq)
+    found = [hits[i] for i in sorted(hits)]
     # dedupe at infinity distance; raw grid points are already distinct
     if not refine and step > 2 * DEDUP_TOL:
         kept = found

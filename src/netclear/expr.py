@@ -16,9 +16,8 @@ Grammar (used by scenario files and by the builders in ``utility``):
 Piecewise guards are evaluated in order; the first match wins and the
 ``else`` arm is mandatory, so every expression is total on finite prices.
 
-A row of expressions compiles to one plain Python closure over a price
-tuple (scalar path) or one numpy-vectorized closure over column arrays
-(grid path).
+A row of expressions compiles to one NumPy closure over price columns
+(one array per trade), or over one NumPy scalar per trade for one point.
 """
 
 from __future__ import annotations
@@ -208,8 +207,11 @@ def eval_expr(e: Expr, prices: Mapping[str, float],
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def to_source(e: Expr, index: Mapping[str, int], vectorized: bool) -> str:
-    """Render as Python source over ``p`` (tuple or column-array sequence)."""
+def to_source(e: Expr, index: Mapping[str, int]) -> str:
+    """Render as NumPy source over ``p``, a sequence of price columns (or of
+    NumPy scalars, one point).  ``^`` renders as ``np.power``, not ``**``:
+    on NumPy scalars ``**`` is the C library's ``pow`` while ``np.power``
+    runs the array loop, so a point gives the bits of its column row."""
 
     def emit(node: Expr) -> str:
         if isinstance(node, Num):
@@ -226,43 +228,36 @@ def to_source(e: Expr, index: Mapping[str, int], vectorized: bool) -> str:
             a = emit(node.arg)
             if node.op == "neg":
                 return f"(-{a})"
-            fn = f"np.{node.op}" if vectorized else f"math.{node.op}"
-            return f"{fn}({a})"
+            return f"np.{node.op}({a})"
         if isinstance(node, Binary):
             a, b = emit(node.left), emit(node.right)
-            op = "**" if node.op == "^" else node.op
-            return f"({a} {op} {b})"
+            if node.op == "^":
+                return f"np.power({a}, {b})"
+            return f"({a} {node.op} {b})"
         if isinstance(node, NAry):
-            parts = [emit(a) for a in node.args]
-            if vectorized:
-                fn = "np.minimum" if node.op == "min" else "np.maximum"
-                out = parts[0]
-                for part in parts[1:]:
-                    out = f"{fn}({out}, {part})"
-                return out
-            return f"{node.op}({', '.join(parts)})"
+            fn = "np.minimum" if node.op == "min" else "np.maximum"
+            out = emit(node.args[0])
+            for a in node.args[1:]:
+                out = f"{fn}({out}, {emit(a)})"
+            return out
         if isinstance(node, Cmp):
             return f"({emit(node.left)} {node.op} {emit(node.right)})"
         if isinstance(node, Piecewise):
             out = emit(node.otherwise)
             for guard, val in reversed(node.cases):
-                g, v = emit(guard), emit(val)
-                if vectorized:
-                    out = f"np.where({g}, {v}, {out})"
-                else:
-                    out = f"({v} if {g} else {out})"
+                out = f"np.where({emit(guard)}, {emit(val)}, {out})"
             return out
         raise TypeError(node)
 
     return emit(e)
 
 
-def compile_expr(row: tuple[Expr, ...], index: Mapping[str, int],
-                 vectorized: bool = False):
-    """Compile a row of expressions to one closure ``fn(p)`` returning the
-    tuple of their values (floats, or arrays when vectorized)."""
-    src = "(" + "".join(f"{to_source(x, index, vectorized)}, " for x in row) + ")"
-    return eval(f"lambda p: {src}", {"math": math, "np": np})  # noqa: S307 - trusted AST
+def compile_expr(row: tuple[Expr, ...], index: Mapping[str, int]):
+    """Compile a row of expressions to one closure ``fn(p)`` over price
+    columns (or NumPy scalars), returning the tuple of their values: arrays
+    that broadcast against the columns, or floats for constant expressions."""
+    src = "(" + "".join(f"{to_source(x, index)}, " for x in row) + ")"
+    return eval(f"lambda p: {src}", {"np": np})  # noqa: S307 - trusted AST
 
 
 # -- parser ------------------------------------------------------------------

@@ -4,10 +4,11 @@ A bundle absent from a firm's table is infeasible (utility minus infinity).
 Infeasibility is a tagged value, ``INFEASIBLE``, never a float sentinel, so
 arithmetic and argmax code never see NaN or -inf.
 
-A firm's table compiles to one scalar closure (``values``, over a price
-tuple) and one vector closure (``value_matrix``, over price columns), each
+A firm's table compiles once, to one NumPy closure over price columns
 giving a row: every feasible bundle's utility, in ascending mask order.
-Any value in the row that is not finite raises ``NonFiniteUtility``.
+``value_matrix`` reads it over many points and ``values`` over one (as
+NumPy scalars, so both give the same bits).  Any value in the row that is
+not finite raises ``NonFiniteUtility``.
 """
 
 from __future__ import annotations
@@ -96,23 +97,16 @@ class FirmUtility:
         return ex.compile_expr(tuple(map(self.table.get, self._masks)),
                                self.network.index)
 
-    @cached_property
-    def _vector_row(self):
-        return ex.compile_expr(tuple(map(self.table.get, self._masks)),
-                               self.network.index, vectorized=True)
-
     def values(self, point: tuple[float, ...]) -> tuple[float, ...]:
         """Every feasible bundle's utility at a price tuple, in ascending
-        mask order.  A value that is not finite, or an expression outside
-        its domain (sqrt of a negative number), raises ``NonFiniteUtility``."""
-        try:
-            row = self._row(point)
-            if all(map(math.isfinite, row)):
-                return row
-        # math domain errors, overflow, division by zero, and the complex
-        # number a negative base to a fractional power gives
-        except (ValueError, ArithmeticError, TypeError):
-            pass
+        mask order, from the row closure over the prices as NumPy scalars:
+        the bits of ``value_matrix``, and no error from an arm that is not
+        selected.  A value that is not finite, or an expression outside its
+        domain (sqrt of a negative number), raises ``NonFiniteUtility``."""
+        with np.errstate(all="ignore"):
+            row = tuple(map(float, self._row(np.asarray(point, dtype=float))))
+        if all(map(math.isfinite, row)):
+            return row
         raise NonFiniteUtility(f"a utility is not finite at prices {point}")
 
     def value(self, mask: int, point: tuple[float, ...]):
@@ -126,13 +120,14 @@ class FirmUtility:
     def value_matrix(self, columns: list[np.ndarray]) -> np.ndarray:
         """``V[r, j]``: the utility of the j-th feasible bundle (ascending
         masks) at row r of the prices given as one column per trade, as the
-        vector closures take them (``list(points.T)`` for a 2-D array of
+        row closure takes them (``list(points.T)`` for a 2-D array of
         points).  A value that is not finite raises ``NonFiniteUtility``,
         whose ``row`` is the first row holding one."""
         v = np.empty((len(columns[0]), len(self._masks)))
-        # closures may overflow or leave their domain; checked below
+        # the closure may overflow, leave its domain or divide by zero, also
+        # in a piecewise arm that is not selected; checked below
         with np.errstate(all="ignore"):
-            for j, col in enumerate(self._vector_row(columns)):
+            for j, col in enumerate(self._row(columns)):
                 v[:, j] = col
         if not np.isfinite(v).all():
             row = int(np.isfinite(v).all(1).argmin())
@@ -206,7 +201,7 @@ def make_unit_demand(firm: str, network: TradeNetwork,
     """Unit-demand terminal buyer: outside option plus one singleton per trade.
 
     Each expression must be strictly decreasing in its own trade's price
-    (sampled check over a coarse range, read from the firm's vector row,
+    (sampled check over a coarse range, read from the firm's row closure,
     which the scan reuses); a sample outside its domain raises
     ``NonFiniteUtility``.
     """
@@ -225,7 +220,7 @@ def make_unit_demand(firm: str, network: TradeNetwork,
     u = FirmUtility(firm, network, table)
     samples = np.linspace(-10.0, 10.0, 25)
     with np.errstate(all="ignore"):  # each singleton reads only its trade's column
-        row = u._vector_row([samples] * network.n)
+        row = u._row([samples] * network.n)
     for tid in trade_exprs:
         vals = np.broadcast_to(row[u._masks.index(network.mask_of([tid]))], samples.shape)
         if not np.isfinite(vals).all():

@@ -313,6 +313,10 @@ MALFORMED = {
     "nib-tiny-step": (None, ["check", "--property", "nib", "--step", "1e-9"],
                       "grid points exceed the scan cap"),
     "zero-step": (None, ["solve", "--step", "0"], "bad box (-1, 3) / step 0.0"),
+    "infinite-step": (None, ["solve", "--box", "0", "1", "--step", "inf"],
+                      "bad box (0.0, 1.0) / step inf"),
+    "check-infinite-step": (None, ["check", "--property", "sss", "--step", "inf"],
+                            "bad box (-1, 3) / step inf"),
     "trade-seller-a-list": (edited(trades=[{"id": "t", "seller": ["a"], "buyer": "b"}]),
                             ["solve"], "case.json: trades[0].seller: not a JSON string"),
     "utilities-a-list": (edited(utilities=["x"]), ["solve"],

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netclear.equilibrium import (
     extremal_equilibria,
     find_equilibria,
+    grid_axis,
     is_equilibrium,
     surplus,
     verify_lattice_pair,
@@ -100,6 +103,14 @@ def test_find_equilibria_bad_box():
         find_equilibria(m, (1, 1), 0.25)
     with pytest.raises(EmptyBox):
         find_equilibria(m, (0, 1), -0.5)
+
+
+@pytest.mark.parametrize("box,step", [((0.0, 1.0), math.inf), ((0.0, 1.0), math.nan),
+                                      ((0.0, math.inf), 0.25), ((-math.inf, 0.0), 0.25),
+                                      ((0.0, 1.0), -math.inf)])
+def test_grid_axis_rejects_non_finite_box_or_step(box, step):
+    with pytest.raises(EmptyBox):
+        grid_axis(box, step, 2)
 
 
 def test_all_infeasible_profile():

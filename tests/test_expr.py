@@ -118,38 +118,42 @@ def test_compiled_matches_interpreter(vals):
     for text in (TRIPLE_PIECEWISE, "2 - p[w1] + p[w3]",
                  "min(p[w1], max(p[w2], 0)) - exp(p[w3]/10)"):
         e = parse_expr(text)
-        prices = dict(zip(index, vals))
-        expected = eval_expr(e, prices)
-        (got,) = compile_expr((e,), index)(tuple(vals))
-        assert got == pytest.approx(expected, abs=1e-12)
+        expected = eval_expr(e, dict(zip(index, vals)))
+        # one point as NumPy scalars; an arm that is not selected may leave
+        # its domain
+        with np.errstate(all="ignore"):
+            (got,) = compile_expr((e,), index)(np.array(vals))
+        assert float(got) == pytest.approx(expected, abs=1e-12)
 
 
-def test_vectorized_matches_scalar():
+def test_closure_over_columns_matches_interpreter():
     index = {"w1": 0, "w2": 1}
     e = parse_expr(KINK_PIECEWISE)
-    scalar = compile_expr((e,), index)
-    vector = compile_expr((e,), index, vectorized=True)
     grid = np.linspace(-1, 4, 37)
     cols = [np.repeat(grid, len(grid)), np.tile(grid, len(grid))]
-    (vec,) = vector(cols)
-    vec = np.asarray(vec, dtype=float)
-    for k in range(len(vec)):
-        assert vec[k] == pytest.approx(scalar((cols[0][k], cols[1][k]))[0],
-                                       abs=1e-12)
+    (got,) = compile_expr((e,), index)(cols)
+    assert got.shape == cols[0].shape
+    for w1, w2, value in zip(cols[0].tolist(), cols[1].tolist(), got.tolist()):
+        assert value == pytest.approx(eval_expr(e, {"w1": w1, "w2": w2}), abs=1e-12)
 
 
-def test_vectorized_constant_broadcast():
-    fn = compile_expr((Num(2.5),), {}, vectorized=True)
-    out = np.asarray(fn([np.zeros(4)])[0], dtype=float) + np.zeros(4)
-    assert out.tolist() == [2.5] * 4
+def test_closure_broadcasts_over_columns_and_constants():
+    index = {"w1": 0, "w2": 1}
+    row = (Num(2.5), parse_expr("min(p[w1], p[w2], 1) + max(p[w1], 0)"))
+    cols = [np.array([-1.0, 0.5, 2.0])[:, None], np.array([0.0, 3.0])[None, :]]
+    const, value = compile_expr(row, index)(cols)
+    assert (const + np.zeros(4)).tolist() == [2.5] * 4
+    assert value.shape == (3, 2)
+    for i, j in np.ndindex(value.shape):
+        w1, w2 = float(cols[0][i, 0]), float(cols[1][0, j])
+        assert value[i, j] == eval_expr(row[1], {"w1": w1, "w2": w2})
 
 
 def test_eval_unknown_price_symbol():
     with pytest.raises(UnknownPriceSymbol):
         eval_expr(Price("missing"), {})
     with pytest.raises(UnknownPriceSymbol):
-        compile_expr((Price("missing"),), {"a": 0})(
-            (0.0,))
+        compile_expr((Price("missing"),), {"a": 0})([np.zeros(1)])
 
 
 def test_exp_matches_math():

@@ -1,9 +1,11 @@
 """Oracle tests for the batched record kernel (``_CompiledProfile.evaluate``)
 and for the verifiers and CLI paths built on it.
 
-The kernel must give, row by row, the scalar exact surplus, the supports
-that the per-firm scalar demand sets admit, and the scalar indirect
-utilities, whatever the block size.  The extremal ranking and the
+The kernel must give, row by row, the surplus by definition (read through
+the expression interpreter), the supports that the per-firm demand sets
+admit, and the indirect utilities, whatever the block size.  The lockstep
+descent of ``find_equilibria`` must give the bits of a descent run one
+start at a time.  The extremal ranking and the
 ``lattice`` command must agree with their per-record and per-pair forms,
 the array-backed ``EquilibriumSet`` and the mechanism with the list of
 records they replace, and the per-firm caches with fresh compilation.
@@ -25,6 +27,8 @@ from netclear import equilibrium, expr as ex, mechanisms
 from netclear.cli import load_scenario, main
 from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
+    DESCENT_STOP,
+    DESCENT_SWEEPS,
     EPS_EQ,
     SCAN_TABLES,
     EquilibriumRecord,
@@ -58,6 +62,7 @@ from netclear.utility import (
     make_quasilinear,
     truncate_at_outside,
 )
+from test_rows import z_by_definition
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SUPPORT_TIE = max(EPS_TIE, 10 * EPS_EQ)
@@ -166,8 +171,9 @@ def test_kernel_matches_scalar_oracle(name, u, box, step):
     z, fit, best = cp.evaluate(points, SUPPORT_TIE)
     supports = kernel_supports(cp, fit)
     assert len(z) == len(supports) == len(best) == len(points)
+    want = z_by_definition(u)
     for row, values in enumerate(map(tuple, points.tolist())):
-        assert z[row] == pytest.approx(cp.surplus_at(values), abs=1e-12)
+        assert z[row] == pytest.approx(want(values), abs=1e-12)
         assert supports[row] == scalar_supports(u, values, SUPPORT_TIE)
         p = PriceVector(u.network, values)
         for k, f in enumerate(cp.firms):
@@ -231,7 +237,7 @@ def test_is_equilibrium_is_a_batch_of_one():
             assert rec is None
             continue
         assert rec.prices is p and rec.supports == supports
-        assert rec.surplus == pytest.approx(cp.surplus_at(values), abs=1e-12)
+        assert rec.surplus == pytest.approx(z_by_definition(u)(values), abs=1e-12)
 
 
 def one_trade_market(price):
@@ -504,21 +510,43 @@ def test_solve_csv_matches_scalar_surplus(tmp_path, capsys):
         rows = list(csv.reader(fh))
     sc = load_scenario(path)
     assert rows[0] == ["trade:" + t.id for t in sc.network.trades] + ["Z"]
-    cp = _CompiledProfile(sc.profile)
     points = list(itertools.product(grid(sc.analysis.box, sc.analysis.step).tolist(),
                                     repeat=sc.network.n))
     assert len(rows) == len(points) + 1
+    want = z_by_definition(sc.profile)
     for row, point in zip(rows[1:], points):
         assert tuple(map(float, row[:-1])) == point
-        assert float(row[-1]) == pytest.approx(cp.surplus_at(point), abs=1e-12)
+        assert float(row[-1]) == pytest.approx(want(point), abs=1e-12)
 
 
 # -- array-backed equilibrium sets and the mechanism on them ----------------------
 
+def descent_one_start(cp, start, step):
+    """Cyclic coordinate descent on Z from one start, each trial a kernel
+    call of one point: up trial, then down trial, each taken when it lowers
+    Z by more than 1e-15; the step halves after a sweep with no gain."""
+    x = list(start)
+    (z,), _fit, _best = cp.evaluate([x], SUPPORT_TIE)
+    sweeps = 0
+    while step >= DESCENT_STOP and z > EPS_EQ * 0.1 and sweeps < DESCENT_SWEEPS:
+        improved = False
+        for i in range(len(x)):
+            for cand in (x[i] + step, x[i] - step):
+                trial = list(x)
+                trial[i] = cand
+                (zt,), _fit, _best = cp.evaluate([trial], SUPPORT_TIE)
+                if zt < z - 1e-15:
+                    x, z, improved = trial, zt, True
+        if not improved:
+            step *= 0.5
+        sweeps += 1
+    return tuple(x), z
+
+
 def record_list(u, box, step, refine):
     """The list form of ``find_equilibria``: every kept point becomes a
     record at once, each through its own kernel call on an uncached
-    compiled profile."""
+    compiled profile, and each start descends on its own."""
     cp = _CompiledProfile(u)
     records, kept = [], []
     for cand in cp.scan_hits(grid(box, step), (step / 2 if refine else EPS_EQ) + 1e-15):
@@ -526,7 +554,7 @@ def record_list(u, box, step, refine):
         if z > EPS_EQ:
             if not refine:
                 continue
-            point, z = _coordinate_descent(cp, cand, step / 2, EPS_EQ)
+            point, z = descent_one_start(cp, cand, step / 2)
             if z > EPS_EQ:
                 continue
         if any(max(abs(a - b) for a, b in zip(point, q)) <= 1e-6 for q in kept):
@@ -568,6 +596,10 @@ def test_equilibrium_set_equals_record_list(name, u, box, step):
         assert np.array_equal(found.best, best)
 
 
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
 def net_vector(u, mask):
     return tuple(net_index(u.network, f, mask) for f in sorted(u.firms))
 
@@ -590,6 +622,53 @@ def rural_cases():
 
 
 RURAL_CASES = rural_cases()
+
+
+def ridge_market():
+    # the buyer wants the trade at |p[a] - 1.5| >= 0.25 and the seller at
+    # p[a] >= 1, so Z peaks at 0.25 at the grid point 1.5 between two
+    # equilibrium intervals: both trials of the start there lower Z to 0
+    net = build_network([("a", "s", "b")])
+    return UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): "p[a] - 1"}),
+        "b": table(net, "b", {(): "0", ("a",): "max(p[a] - 1.5, 1.5 - p[a]) - 0.25"}),
+    })
+
+
+DESCENT_CASES = [(f"profile-{case[0]}", *case[1:]) for case in PROFILES] + \
+    [(f"rural-{case[0]}", *case[1:]) for case in RURAL_CASES] + \
+    [("ridge", ridge_market(), (0.0, 3.0), 0.5)]
+
+
+@pytest.mark.parametrize("name,u,box,step", DESCENT_CASES,
+                         ids=[case[0] for case in DESCENT_CASES])
+def test_lockstep_descent_matches_one_start_at_a_time(name, u, box, step):
+    # every start, kept or not, ends where it ends when it descends alone
+    cp = _CompiledProfile(u)
+    hits = cp.scan_hits(grid(box, step), step / 2 + 1e-15)
+    z, _fit, _best = cp.evaluate(hits, SUPPORT_TIE)
+    rows = [i for i, zi in enumerate(z) if zi > EPS_EQ]
+    starts = np.array(hits, dtype=float).reshape(len(hits), u.network.n)[rows]
+    ends, zr = _coordinate_descent(cp, starts, np.array(z)[rows], step / 2, EPS_EQ)
+    alone = [descent_one_start(cp, start, step / 2) for start in starts.tolist()]
+    assert bits(ends) == bits([end for end, _z in alone])
+    assert bits(zr) == bits([ze for _end, ze in alone])
+
+    found = find_equilibria(u, box, step, refine=True)
+    want = record_list(u, box, step, True)
+    assert bits(found.prices) == bits([rec.prices.values for rec in want])
+    assert bits(found.z) == bits([rec.surplus for rec in want])
+    assert [found[i].supports for i in range(len(found))] == [rec.supports for rec in want]
+
+
+def test_descent_cases_refine_off_the_grid():
+    # the cases above hold refined points, not only grid hits
+    refined = 0
+    for _name, u, box, step in DESCENT_CASES:
+        found = find_equilibria(u, box, step, refine=True)
+        on_grid = np.isin(found.prices, grid(box, step)).all(1)
+        refined += int((~on_grid).sum())
+    assert refined >= 10
 
 
 @pytest.mark.parametrize("name,u,box,step", RURAL_CASES,
@@ -752,9 +831,9 @@ def test_changed_feasible_masks_get_fresh_globals():
 
 
 def oracle_hits(u, axis, threshold):
-    cp = _CompiledProfile(u)
+    z = z_by_definition(u)
     return [p for p in itertools.product(axis.tolist(), repeat=u.network.n)
-            if cp.surplus_at(p) <= threshold]
+            if z(p) <= threshold]
 
 
 def test_scan_tables_follow_the_firm_object(monkeypatch):

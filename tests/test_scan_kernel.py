@@ -1,8 +1,8 @@
 """Oracle tests for the firm-factored grid scan behind find_equilibria.
 
-The vectorized scan must return exactly the grid points, in row-major
-order, where the scalar exact surplus is within the trigger, whatever the
-block size.
+The scan must return exactly the grid points, in row-major order, where
+the surplus by definition (read through the expression interpreter) is
+within the trigger, whatever the block size.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from netclear.instances import assignment_market
 from netclear.mechanisms import _utility_of
 from netclear.model import PriceVector, build_network
 from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear
+from test_rows import z_by_definition
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -37,15 +38,16 @@ def grid(box, step):
     return np.round(np.arange(lo, hi + step / 2, step), 12)
 
 
-def scalar_hits(cp, axis, threshold):
-    return [p for p in itertools.product(axis.tolist(), repeat=cp.network.n)
-            if cp.surplus_at(p) <= threshold]
+def oracle_hits(u, axis, threshold):
+    z = z_by_definition(u)
+    return [p for p in itertools.product(axis.tolist(), repeat=u.network.n)
+            if z(p) <= threshold]
 
 
 def assert_matches_oracle(profile, axis, trigger):
     cp = _CompiledProfile(profile)
     threshold = trigger + 1e-15
-    expected = scalar_hits(cp, axis, threshold)
+    expected = oracle_hits(profile, axis, threshold)
     levels, n = len(axis), profile.network.n
     with pytest.MonkeyPatch.context() as mp:
         for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17):
@@ -120,17 +122,19 @@ def test_vectorized_nan_raises(monkeypatch):
         "b": table(net, "b", {(): "0", ("x",): "sqrt(p[x] - 1)"}),
     })
     cp = _CompiledProfile(u)
-    # sqrt is undefined below 1: the scan raises the scalar path's error and
+    # sqrt is undefined below 1: the scan raises the kernel's error and
     # names the first grid point outside the domain
     for batch in (1, 3, 64):
         monkeypatch.setattr(equilibrium, "BATCH", batch)
         with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0,\)"):
             cp.scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15)
     with pytest.raises(NonFiniteUtility):
-        cp.surplus_at((0.5,))
-    # inside the domain it still decides as the scalar path does
+        surplus(u, PriceVector(net, (0.5,)))
+    with pytest.raises(NonFiniteUtility):
+        cp.evaluate([[0.5]], EPS_EQ)
+    # inside the domain it still decides as the definition does
     axis = grid((1.0, 3.0), 0.5)
-    expected = [(p,) for p in axis.tolist() if cp.surplus_at((p,)) <= 0.25 + 1e-15]
+    expected = oracle_hits(u, axis, 0.25 + 1e-15)
     monkeypatch.setattr(equilibrium, "BATCH", 3)
     assert cp.scan_hits(axis, 0.25 + 1e-15) == expected
     assert expected
