@@ -19,6 +19,21 @@ the AND of the firms' masks, broadcast over the block, is non-zero in some
 chunk.  Grids beyond ``MAX_GRID_POINTS`` raise ``GridTooLarge`` up front
 instead of scanning without end.
 
+Before the AND, the scan narrows each axis to the levels that can hold a
+hit (generalized arc consistency over the masks).  A hit sets one bit in
+every firm's mask at its point, so every firm reading an axis sets that
+bit somewhere at the hit's level of the axis: a level where, in every
+chunk, the AND over the axis' readers of their masks OR-reduced onto the
+axis is zero holds no hit and is dropped, the readers' masks are cut to
+the kept levels, and this repeats until nothing more drops.  The AND then
+runs over the kept levels only and finds the same points in the same
+order.  It runs when the grid spans more than one block of ``BATCH``
+points and every firm's sub-grid fits in one: below that the dense AND is
+cheaper than the narrowing, and above it the masks of a whole sub-grid
+would not be bounded by ``BATCH``.  It gains where levels do not tie, as
+with non-integer costs and values; where every level keeps a tie (integer
+values, zero costs) nothing drops.
+
 One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
 ``V_f[points, bundles]``, giving Z, the supports (global sets whose every
 share is within the tie tolerance of the firm's best; these factor by firm
@@ -72,7 +87,7 @@ BATCH = 1 << 17
 DESCENT_STOP = 1e-10
 DESCENT_SWEEPS = 200
 # scan bit codes kept per firm utility object (one entry per global sets,
-# grid, threshold and block extent), oldest dropped first
+# threshold and price levels read), oldest dropped first
 SCAN_TABLES = 4
 
 
@@ -246,25 +261,28 @@ class _CompiledProfile:
         net = dict(zip(self.firms, self.net_vector(supports[0])))
         return EquilibriumRecord(p, supports, net, z)
 
-    def _firm_codes(self, k: int, columns: list[np.ndarray], threshold: float,
-                    key: tuple) -> list[np.ndarray]:
+    def _firm_codes(self, k: int, columns: list[np.ndarray],
+                    threshold: float) -> list[np.ndarray]:
         """Firm k's bit code per chunk of global sets: bit j is set where the
         firm's share of the chunk's set j has regret at most threshold.
 
-        A code broadcasts over the block but only spans the axes the firm
-        reads.  The last ``SCAN_TABLES`` are kept on its utility object by
-        ``key`` (the feasible global sets, which fix the bit positions; the
-        grid axis; the threshold; the block extent on those axes), so every
+        A code broadcasts over the columns but only spans the axes the firm
+        reads.  The last ``SCAN_TABLES`` are kept on its utility object,
+        keyed by the feasible global sets (which fix the bit positions), the
+        threshold and the price levels of the columns it reads, so every
         profile holding the object reuses them.  A non-finite value raises
-        ``NonFiniteUtility``."""
+        ``NonFiniteUtility``, naming the first such point of the columns'
+        grid in row-major order."""
         u = self.utilities[self.firms[k]]
+        key = (self.feasible_globals, threshold,
+               *(columns[d].tobytes() for d in u.price_axes))
         codes = u._scan.get(key)
         if codes is not None:
             return codes
         with np.errstate(all="ignore"):
             vals = [np.asarray(v, dtype=float) for v in u._row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
-            # raises the value matrix's error, naming the block's first bad point
+            # raises the value matrix's error, naming the first bad point
             u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])
         best = reduce(np.maximum, vals)
         ok = [best - v <= threshold for v in vals]
@@ -278,38 +296,107 @@ class _CompiledProfile:
     def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
         """Points of the grid axis^n where Z <= threshold, in row-major order.
 
-        The grid is cut into blocks of at most ``BATCH`` points: a run of
-        rows on one axis, every later axis whole, every earlier axis fixed.
         Each firm gives one bit code per chunk of global sets
         (``_firm_codes``); a point is a hit where, in some chunk, the AND of
-        the firms' codes is non-zero.  A firm's code is computed only when
-        its utility object does not hold it yet for the block's extent on
-        the axes it reads.
+        the firms' codes is non-zero.  The AND runs in blocks of at most
+        ``BATCH`` points: a run of rows on one axis, every later axis whole,
+        every earlier axis fixed.
+
+        When the grid spans more than one block and every firm's sub-grid
+        fits in one, the scan first narrows the axes (``_narrow``): each
+        firm's codes are computed over its whole sub-grid, the levels that
+        cannot hold a hit are dropped, and the blocks run over the kept
+        levels only, reading the codes from the compressed tables.  The
+        hits are the same points in the same order.  Otherwise the blocks
+        cover every level, and a firm's code for a block is computed only
+        when its utility object does not hold it yet for the block's levels
+        on the axes it reads.
         """
         n, levels = self.network.n, len(axis)
-        lead = next(d for d in range(n) if levels ** (n - 1 - d) <= BATCH)
-        rows = min(levels, max(1, BATCH // levels ** (n - 1 - lead)))
-        grid = (self.feasible_globals, axis.tobytes(), threshold)
         axes = [self.utilities[f].price_axes for f in self.firms]
+
+        def along(d: int, column: np.ndarray) -> np.ndarray:
+            return column.reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
+
+        values, tables = [axis] * n, None
+        if levels ** n > BATCH and all(levels ** len(read) <= BATCH for read in axes):
+            tables = []
+            for k, read in enumerate(axes):
+                # the firm's whole sub-grid: every level on the axes it
+                # reads, the first elsewhere
+                whole = [along(d, axis if d in read else axis[:1]) for d in range(n)]
+                shape = [levels if d in read else 1 for d in range(n)]
+                tables.append([np.reshape(code, shape)
+                               for code in self._firm_codes(k, whole, threshold)])
+            values = _narrow(tables, axes, axis)
+            if values is None:
+                return []
+        sizes = [len(v) for v in values]
+        lead = next(d for d in range(n) if math.prod(sizes[d + 1:]) <= BATCH)
+        rows = min(sizes[lead], max(1, BATCH // math.prod(sizes[lead + 1:])))
         hits: list[tuple[float, ...]] = []
-        for prefix in itertools.product(range(levels), repeat=lead):
-            for a in range(0, levels, rows):
+        for prefix in itertools.product(*map(range, sizes[:lead])):
+            for a in range(0, sizes[lead], rows):
                 block = [slice(i, i + 1) for i in prefix] + [slice(a, a + rows)] \
                     + [slice(None)] * (n - 1 - lead)
-                columns = [axis[s].reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
-                           for d, s in enumerate(block)]
-                codes = [self._firm_codes(k, columns, threshold, grid + tuple(
-                    (block[d].start, block[d].stop) for d in read))
-                    for k, read in enumerate(axes)]
+                cut = [v[s] for v, s in zip(values, block)]
+                columns = [along(d, c) for d, c in enumerate(cut)]
+                if tables is None:
+                    codes = [self._firm_codes(k, columns, threshold) for k in range(len(axes))]
+                else:
+                    codes = [[t[tuple(s if d in read else slice(None)
+                                      for d, s in enumerate(block))] for t in table]
+                             for table, read in zip(tables, axes)]
                 hit = reduce(np.logical_or, (reduce(np.bitwise_and, chunk)
                                              for chunk in zip(*codes)))
-                shape = tuple(c.size for c in columns)
+                shape = tuple(map(len, cut))
                 if hit.shape != shape:  # an axis that no firm reads
                     hit = np.broadcast_to(hit, shape)
                 coords = np.unravel_index(np.flatnonzero(hit), shape)
-                hits.extend(zip(*(axis[i + (s.start or 0)].tolist()
-                                  for i, s in zip(coords, block))))
+                hits.extend(zip(*(c[i].tolist() for c, i in zip(cut, coords))))
         return hits
+
+
+def _narrow(tables: list[list[np.ndarray]], axes: Sequence[tuple[int, ...]],
+            axis: np.ndarray) -> list[np.ndarray] | None:
+    """The levels of the grid axis^n that can hold a scan hit: per axis, the
+    kept levels in order, or None when an axis keeps none.
+
+    ``tables[k]`` holds firm k's code per chunk over its whole sub-grid
+    (every level on the axes in ``axes[k]``, one elsewhere); the readers'
+    tables are compressed to the kept levels in place.  A hit sets, in some
+    chunk, one bit in every firm's code at its point, so on each axis every
+    firm reading it sets that bit somewhere at the hit's level.  A pass
+    therefore keeps, on each axis with readers, the levels where in some
+    chunk the AND of the readers' codes OR-reduced over their other axes is
+    non-zero (generalized arc consistency); passes repeat until one drops
+    nothing, skipping an axis none of whose readers' tables shrank since it
+    was last checked, and no hit is ever dropped.
+    """
+    n = tables[0][0].ndim
+    keep = [axis] * n
+    readers = [[k for k, read in enumerate(axes) if d in read] for d in range(n)]
+    # an axis is checked again only after a table of one of its readers shrank
+    stale = [bool(ks) for ks in readers]
+    while any(stale):
+        for d, ks in enumerate(readers):
+            if not stale[d]:
+                continue
+            stale[d] = False
+            others = tuple(e for e in range(n) if e != d)
+            alive = reduce(np.logical_or, (
+                reduce(np.bitwise_and, (np.bitwise_or.reduce(t, axis=others) for t in chunk)) != 0
+                for chunk in zip(*(tables[k] for k in ks))))
+            if alive.all():
+                continue
+            if not alive.any():
+                return None
+            keep[d] = keep[d][alive]
+            for k in ks:
+                tables[k] = [t.compress(alive, axis=d) for t in tables[k]]
+            for e in {e for k in ks for e in axes[k]} - {d}:
+                stale[e] = True
+    return keep
 
 
 def _compiled(u: UtilityProfile) -> _CompiledProfile:
@@ -430,8 +517,12 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     evaluated once on the sub-grid of the prices it reads and kept as one
     bitmask per chunk of at most 64 global sets, and a point is kept where
     the AND of the firms' bitmasks is non-zero in some chunk, in blocks of
-    at most ``BATCH`` points.  A grid of more than ``MAX_GRID_POINTS`` points
-    raises ``GridTooLarge`` before anything is allocated.
+    at most ``BATCH`` points.  When the grid spans more than one block and
+    every firm's sub-grid fits in one, the levels that cannot hold a hit are
+    first dropped from each axis (exactly; see the module docstring), so
+    the AND covers only the kept levels.  A grid of more than
+    ``MAX_GRID_POINTS`` points raises ``GridTooLarge`` before anything is
+    allocated.
 
     One call of the record kernel (``_CompiledProfile.evaluate``) gives
     exact Z, the supports and the indirect utilities of every candidate;

@@ -6,7 +6,8 @@ dominance rule of the extremal check, and builds only the record it picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import itertools
@@ -46,9 +47,16 @@ class MechanismOutcome:
     bundle: int  # designated global support
     prices: PriceVector
     allocation_prices: dict[str, float]  # realized trades only
-    utilities: dict[str, float]  # per firm, under the reported profile
     rule: str
     record: EquilibriumRecord
+    reported: UtilityProfile = field(compare=False, repr=False)
+
+    @cached_property
+    def utilities(self) -> dict[str, float]:
+        """Per firm, its utility for its share of the bundle at the prices
+        under the reported profile; computed when first read."""
+        return {f: _utility_of(self.reported.firms[f], self.bundle, self.prices)
+                for f in sorted(self.reported.firms)}
 
 
 def buyer_optimal_mechanism(u: UtilityProfile,
@@ -59,7 +67,8 @@ def buyer_optimal_mechanism(u: UtilityProfile,
     lexicographically smallest price vector if no record dominates for all
     buyers (hypothesis failure; flagged by rule suffix).  Designated support
     is the lowest bundle in bitset order.  Both choices read the found
-    set's arrays; only the chosen record is built.
+    set's arrays; only the chosen record is built, and the outcome's
+    ``utilities`` only when read.
     """
     found = find_equilibria(u, search.box, search.step, refine=False,
                             eps_eq=search.eps_eq, eps_tie=search.eps_tie)
@@ -74,10 +83,7 @@ def buyer_optimal_mechanism(u: UtilityProfile,
     bundle = rec.designated_support
     alloc = {t.id: rec.prices.values[i]
              for i, t in enumerate(u.network.trades) if bundle >> i & 1}
-    utilities = {
-        f: _utility_of(u.firms[f], bundle, rec.prices)
-        for f in sorted(u.firms)}
-    return MechanismOutcome(bundle, rec.prices, alloc, utilities, rule, rec)
+    return MechanismOutcome(bundle, rec.prices, alloc, rule, rec, u)
 
 
 def _utility_of(fu: FirmUtility, global_bundle: int, p: PriceVector) -> float:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from netclear import mechanisms
 from netclear.errors import NoEquilibriumFound, NotTerminalBuyers
 from netclear.instances import assignment_market
 from netclear.mechanisms import (
@@ -32,6 +33,23 @@ def test_buyer_optimal_outcome():
     assert out.utilities["b1"] == pytest.approx(4.0)
     assert out.utilities["s0"] == pytest.approx(0.0)
     assert out.utilities["s1"] == pytest.approx(0.0)
+
+
+def test_outcome_utilities_are_computed_when_read(monkeypatch):
+    calls = []
+    utility_of = mechanisms._utility_of
+
+    def spy(fu, bundle, p):
+        calls.append(fu.firm)
+        return utility_of(fu, bundle, p)
+
+    monkeypatch.setattr(mechanisms, "_utility_of", spy)
+    u = two_by_two()
+    out = buyer_optimal_mechanism(u, CFG)
+    assert calls == []
+    assert out.utilities == {f: utility_of(u.firms[f], out.bundle, out.prices)
+                             for f in sorted(u.firms)}
+    assert out.utilities is out.utilities and calls == sorted(u.firms)
 
 
 def test_mechanism_outcome_is_equilibrium_record():

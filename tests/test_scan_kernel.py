@@ -49,8 +49,12 @@ def assert_matches_oracle(profile, axis, trigger):
     threshold = trigger + 1e-15
     expected = oracle_hits(profile, axis, threshold)
     levels, n = len(axis), profile.network.n
+    # the largest firm sub-grid as the block size makes the scan narrow the
+    # axes whenever the grid spans more than one block
+    largest = max(levels ** len(fu.price_axes) for fu in profile.firms.values())
+    narrowing = (largest,) if largest < levels ** n else ()
     with pytest.MonkeyPatch.context() as mp:
-        for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17):
+        for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17) + narrowing:
             mp.setattr(equilibrium, "BATCH", batch)
             assert cp.scan_hits(axis, threshold) == expected, batch
     return expected
@@ -138,6 +142,109 @@ def test_vectorized_nan_raises(monkeypatch):
     monkeypatch.setattr(equilibrium, "BATCH", 3)
     assert cp.scan_hits(axis, 0.25 + 1e-15) == expected
     assert expected
+
+
+def spy_narrow(monkeypatch):
+    """Record the level count per axis that each narrowing keeps."""
+    kept = []
+    narrow = equilibrium._narrow
+
+    def spy(tables, axes, axis):
+        values = narrow(tables, axes, axis)
+        kept.append(None if values is None else [len(v) for v in values])
+        return values
+
+    monkeypatch.setattr(equilibrium, "_narrow", spy)
+    return kept
+
+
+def test_non_finite_utility_raises_where_the_scan_narrows(monkeypatch):
+    net = build_network([("x", "s", "b"), ("y", "s2", "b2")])
+
+    def market():
+        return UtilityProfile(net, {
+            "s": table(net, "s", {(): "0", ("x",): "p[x] - 0.5"}),
+            "b": table(net, "b", {(): "0", ("x",): "2 - p[x]"}),
+            "s2": table(net, "s2", {(): "0", ("y",): "p[y]"}),
+            # undefined above p[y] = 2
+            "b2": table(net, "b2", {(): "0", ("y",): "sqrt(2 - p[y])"}),
+        })
+
+    kept = spy_narrow(monkeypatch)
+    # 49 points, sub-grids of 7: at a block size of 7 the scan narrows
+    monkeypatch.setattr(equilibrium, "BATCH", 7)
+    inside = grid((-1.0, 2.0), 0.5)
+    hits = _CompiledProfile(market()).scan_hits(inside, 0.25 + 1e-15)
+    assert hits == oracle_hits(market(), inside, 0.25 + 1e-15)
+    assert kept and kept[-1] is not None and sum(kept[-1]) < 2 * len(inside)
+    # the first grid point outside the domain in row-major order is named,
+    # narrowing or not
+    for batch in (7, 1, 3, 1 << 17):
+        monkeypatch.setattr(equilibrium, "BATCH", batch)
+        with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0, 2\.5\)"):
+            _CompiledProfile(market()).scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15)
+
+
+def planted_market(seed):
+    """A 2x3 market on 11^6 grid points or a 3x2 market less one pair on
+    18^5, with unit-supply sellers at random costs and unit-demand linear
+    buyers, planted so that one grid point is a strict equilibrium with
+    random margins below half a step.  Returns the market, the grid axis,
+    its step and the planted point."""
+    rng = random.Random(f"planted:{seed}")
+    sellers, buyers, missing, box, step = (
+        (2, 3, None, (-0.5, 4.5), 0.5), (3, 2, (2, 1), (-0.5, 3.75), 0.25))[seed % 2]
+    axis = grid(box, step)
+    pairs = [(s, b) for s in range(sellers) for b in range(buyers) if (s, b) != missing]
+    while True:
+        match = list(zip(rng.sample(range(sellers), sellers),
+                         rng.sample(range(buyers), buyers)))
+        if all(m in pairs for m in match):
+            break
+    mid = [v for v in axis.tolist() if 1.0 <= v <= 2.5]
+
+    def margin():
+        return round(rng.uniform(0.05, 0.45 * step), 4)
+
+    price, costs, values = {}, {}, {}
+    partner = dict(match)
+    for s in range(sellers):
+        top = rng.choice(mid)
+        for p in pairs:
+            if p[0] == s:
+                # a matched seller strictly prefers its trade to the others
+                price[p] = top if partner.get(s) == p[1] else round(top - step, 12)
+        costs[s] = round(top - margin() if s in partner else top + margin(), 4)
+    buyer_of = {b: s for s, b in match}
+    for b in range(buyers):
+        best = margin() if b in buyer_of else 0.0
+        for p in pairs:
+            if p[1] == b:
+                target = best if buyer_of.get(b) == p[0] else best - margin()
+                values[p] = round(target + price[p], 4)
+    return (assignment_market(sellers, buyers, values, costs), axis, step,
+            tuple(price[p] for p in pairs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_narrowed_scan_matches_the_dense_scan_on_planted_markets(seed, monkeypatch):
+    kept = spy_narrow(monkeypatch)
+    u, axis, step, planted = planted_market(seed)
+    n, levels = u.network.n, len(axis)
+    assert n in (5, 6) and levels ** n > equilibrium.BATCH
+    for trigger in (EPS_EQ, step / 2):
+        threshold = trigger + 1e-15
+        hits = _CompiledProfile(planted_market(seed)[0]).scan_hits(axis, threshold)
+        # narrowing ran and dropped levels
+        assert kept[-1] is not None and sum(kept[-1]) < n * levels
+        # the dense scan: every point in one block, no narrowing
+        with monkeypatch.context() as mp:
+            mp.setattr(equilibrium, "BATCH", levels ** n)
+            count = len(kept)
+            assert _CompiledProfile(u).scan_hits(axis, threshold) == hits
+            assert len(kept) == count
+        assert planted in hits
+    assert len(kept) == 2
 
 
 def test_find_equilibria_is_independent_of_batch(monkeypatch):
