@@ -6,7 +6,6 @@ from .model import (
     Trade,
     TradeNetwork,
     build_network,
-    join_meet_prices,
     net_index,
     partition_bundle,
     terminal_roles,
@@ -17,7 +16,6 @@ from .utility import (
     UtilityProfile,
     check_monotonicity,
     endowment_transform,
-    eval_utility,
     make_quasilinear,
     make_unit_demand,
     truncate_at_outside,
@@ -26,9 +24,7 @@ from .expr import parse_expr
 from .demand import (
     DemandResult,
     demand_set,
-    demand_invariance_check,
     indirect_utility,
-    joint_tiebreak_selection,
     nib_witness,
 )
 from .equilibrium import (
@@ -71,7 +67,6 @@ from .adapters import (
     economy_equilibrium_check,
     induce_from_exchange,
     induce_from_matching,
-    salary_vector,
     uniform_price_lift,
     uniform_price_project,
 )

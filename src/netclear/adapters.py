@@ -17,6 +17,7 @@ holding on all of price space:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -74,11 +75,6 @@ def induce_from_matching(m: MatchingMarket) -> tuple[TradeNetwork, UtilityProfil
         firms[d] = make_unit_demand(d, network, exprs,
                                     outside=float(m.outside.get(d, 0.0)))
     return network, UtilityProfile(network, firms)
-
-
-def salary_vector(network: TradeNetwork, p: PriceVector) -> dict[str, float]:
-    """Salaries implied by network prices (salary = -price)."""
-    return {t.id: -p.values[i] for i, t in enumerate(network.trades)}
 
 
 # -- exchange economies ------------------------------------------------------
@@ -248,8 +244,6 @@ def economy_equilibrium_check(e: ExchangeEconomy, q: Mapping[str, float]) -> boo
     ``economy_demand``, it is the independent oracle that criterion 7 checks
     the induced network's equilibria against.
     """
-    import itertools
-
     agents = sorted(e.endowments)
     demands = []
     for f in agents:

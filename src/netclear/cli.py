@@ -156,6 +156,9 @@ def _analysis(a) -> Analysis:
             _fail(f"analysis.{key}: not a {'whole' if whole else 'finite'} number: {x!r}")
     if values["step"] <= 0:
         _fail(f"analysis.step: not positive: {values['step']!r}")
+    for key in ("eps_tie", "eps_eq"):
+        if values[key] < 0:
+            _fail(f"analysis.{key}: negative: {values[key]!r}")
     return Analysis(tuple(box), float(values["step"]), float(values["eps_tie"]),
                     float(values["eps_eq"]), values["seed"])
 

@@ -40,9 +40,12 @@ share is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.  It
 is the one implementation of Z: ``surplus`` is a batch of one point, and
 the descent of ``find_equilibria`` sends the trials of all its starts
-through it.  ``find_equilibria`` returns its rows as an ``EquilibriumSet``
-that builds a record only when indexed; ``dominant``, the one rule of the
-extremal check and the mechanism, ranks on the set's indirect utilities.
+through it, writes each end point and its Z over its start's row of the
+kernel arrays, and sends the ends it keeps back through it for their
+supports and indirect utilities.  ``find_equilibria`` returns its rows as
+an ``EquilibriumSet`` that builds a record only when indexed;
+``dominant``, the one rule of the extremal check and the mechanism, ranks
+on the set's indirect utilities.
 Compiled tables live with their owners (a profile's with the profile
 object, a firm's row closure and scan bit codes with its ``FirmUtility``,
 the codes keyed by the feasible global sets that fix their bit
@@ -528,10 +531,12 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     exact Z, the supports and the indirect utilities of every candidate;
     candidates with Z <= ``eps_eq`` are kept directly.  The rest start a
     coordinate descent on the same kernel's Z (when ``refine``; its first
-    step is ``step / 2``, and all starts run in lockstep), and the refined
-    points that survive deduplication go through one more kernel call.  The kept
-    rows with a support make the returned ``EquilibriumSet``, whose records
-    are built only when indexed.
+    step is ``step / 2``, and all starts run in lockstep), whose end points
+    and Z replace their starts' rows in place.  After deduplication in row
+    order, only the kept rows that moved go through one more kernel call,
+    which refreshes their supports and indirect utilities.  The kept rows
+    with a support make the returned ``EquilibriumSet``, whose records are
+    built only when indexed.
 
     Completeness is relative to the grid: connected equilibrium continua come
     back as the grid points (plus descent refinements) that hit them, after
@@ -552,36 +557,30 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
     z, fit, best = cp.evaluate(points, support_tie)
-    # candidate -> (point, its row in the kernel output, or None once refined)
-    hits = {i: (cand, i) for i, cand in enumerate(candidates) if z[i] <= eps_eq}
-    starts = [i for i in range(len(candidates)) if i not in hits] if refine else []
-    if starts:
-        ends, zr = _coordinate_descent(cp, points[starts], np.array(z)[starts], step / 2, eps_eq)
-        hits.update((i, (tuple(end), None))
-                    for i, end, ze in zip(starts, ends.tolist(), zr.tolist()) if ze <= eps_eq)
-    found = [hits[i] for i in sorted(hits)]
+    z = np.array(z)
+    # each descent end replaces its start in the kernel arrays
+    moved = (z > eps_eq) & refine
+    starts = np.flatnonzero(moved)
+    if len(starts):
+        points[starts], z[starts] = _coordinate_descent(
+            cp, points[starts], z[starts], step / 2, eps_eq)
+    rows = np.flatnonzero(z <= eps_eq)
     # dedupe at infinity distance; raw grid points are already distinct
-    if not refine and step > 2 * DEDUP_TOL:
-        kept = found
-    else:
-        kept = []
-        seen = np.empty((len(found), n))
-        for point, row in found:
-            if kept and (np.abs(seen[:len(kept)] - point).max(1) <= DEDUP_TOL).any():
+    if refine or step <= 2 * DEDUP_TOL:
+        kept: list[int] = []
+        seen = np.empty((len(rows), n))
+        for r in rows.tolist():
+            if kept and (np.abs(seen[:len(kept)] - points[r]).max(1) <= DEDUP_TOL).any():
                 continue
-            seen[len(kept)] = point
-            kept.append((point, row))
-    # refined points follow the candidates in the kernel arrays
-    fresh = [point for point, row in kept if row is None]
-    if fresh:
-        zr, fitr, bestr = cp.evaluate(fresh, support_tie)
-        points = np.vstack([points, fresh])
-        z, fit, best = z + zr, np.vstack([fit, fitr]), np.vstack([best, bestr])
-    count = itertools.count(len(candidates))
-    rows = np.array([next(count) if row is None else row for _point, row in kept],
-                    dtype=np.intp)
+            seen[len(kept)] = points[r]
+            kept.append(r)
+        rows = np.array(kept, dtype=np.intp)
+    # the fit and indirect utilities of a moved row are still its start's
+    fresh = rows[moved[rows]]
+    if len(fresh):
+        z[fresh], fit[fresh], best[fresh] = cp.evaluate(points[fresh], support_tie)
     rows = rows[fit[rows].any(1)]
-    return EquilibriumSet(cp, points[rows], fit[rows], np.array(z)[rows], best[rows])
+    return EquilibriumSet(cp, points[rows], fit[rows], z[rows], best[rows])
 
 
 # -- theorem verification ----------------------------------------------------

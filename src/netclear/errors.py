@@ -61,15 +61,6 @@ class NotUnitDemand(NetclearError):
 
 # -- demand ------------------------------------------------------------------
 
-class ScheduleExhausted(NetclearError):
-    """Tie-breaking perturbation schedule ran out before reaching a
-    single-valued selection.  Carries the partial selection for diagnostics."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial or {}
-
-
 class NotDemanded(NetclearError):
     pass
 

@@ -175,11 +175,3 @@ def join_meet(p: Sequence[float], q: Sequence[float]
               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Coordinatewise (max, min) of two price tuples."""
     return tuple(map(max, p, q)), tuple(map(min, p, q))
-
-
-def join_meet_prices(p: PriceVector, q: PriceVector) -> tuple[PriceVector, PriceVector]:
-    """Coordinatewise (max, min) of two price vectors on the same network."""
-    if p.network != q.network:
-        raise NetworkMismatch("price vectors belong to different networks")
-    join, meet = join_meet(p.values, q.values)
-    return PriceVector(p.network, join), PriceVector(p.network, meet)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .demand import EPS_TIE, demand_set
+from .demand import EPS_TIE, demand_set, nib_witness
 from .equilibrium import grid_axis
 from .errors import NonFiniteUtility, PatternViolation, UnknownBoundKind
 from .model import PriceVector
@@ -62,7 +62,8 @@ def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
     whole grid steps (sales frozen); on 'sale-lower', some sale prices move
     down.  Coordinates that stay are copied bit-exactly.  The levels come
     from ``grid_axis`` as one axis, which raises ``EmptyBox`` for a bad box
-    or step and ``GridTooLarge`` for too many levels.
+    or step and ``GridTooLarge`` for too many levels.  On a one-level axis
+    there is no pair, and the list is empty.
     """
     rng = np.random.default_rng(seed)
     levels = grid_axis(box, step, 1)
@@ -71,7 +72,7 @@ def grid_pattern_pairs(u: FirmUtility, box: tuple[float, float],
     sells = u.network.sells_mask(u.firm)
     movable = [i for i in range(n)
                if (buys if side == "purchase-raise" else sells) >> i & 1]
-    if not movable:
+    if not movable or len(levels) == 1:
         return []
     pairs: list[Pair] = []
     while len(pairs) < count:
@@ -313,8 +314,6 @@ def check_nib(u: FirmUtility, grid: Iterable[PriceVector],
               eps_tie: float = EPS_TIE) -> PropertyReport:
     """No isolated bundles: every demanded bundle is uniquely demanded at
     some nearby price vector."""
-    from .demand import nib_witness
-
     violations = []
     tested = 0
     for p in grid:

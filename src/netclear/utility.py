@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -134,13 +134,6 @@ class FirmUtility:
             prices = tuple(float(c[row]) for c in columns)
             raise NonFiniteUtility(f"a utility is not finite at prices {prices}", row)
         return v
-
-
-def eval_utility(u: FirmUtility, bundle: int | Iterable[str], p: PriceVector):
-    """u^f(bundle, p); a global bundle is first restricted to the firm."""
-    if not isinstance(bundle, int):
-        bundle = u.network.mask_of(bundle)
-    return u.value(bundle & u.omega, p.values)
 
 
 @dataclass(frozen=True)

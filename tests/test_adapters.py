@@ -11,7 +11,6 @@ from netclear.adapters import (
     induce_from_exchange,
     induce_from_matching,
     matching_trade_id,
-    salary_vector,
     uniform_price_lift,
     uniform_price_project,
 )
@@ -60,7 +59,6 @@ def test_matching_price_is_negated_salary():
     h_single = net.mask_of(["h:d1"])
     assert prof.firms["h"].value(h_single, p.values) == pytest.approx(3 - s)
     assert prof.firms["d1"].value(h_single, p.values) == pytest.approx(1 + s)
-    assert salary_vector(net, p) == {"h:d1": s, "h:d2": -0.0}
 
 
 def test_matching_small_tables():

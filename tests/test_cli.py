@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -135,6 +137,18 @@ def test_usage_error_leaves_the_parser_as_built(tmp_path, capsys):
         assert main(bad) == 1
         assert capsys.readouterr().err.startswith("error: ")
     assert run_with_reports(argv, tmp_path / "after", capsys) == alone
+
+
+def test_check_on_one_level_axis_tests_no_pairs():
+    # no pair moves a price on one level; the child is killed if it searches on
+    argv = ["check", scenario("star.json"), "--property", "sss", "--box", "0", "1",
+            "--step", "5"]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-m", "netclear.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("same-side-substitutability (expansion) for f: "
+                           "pass-on-sample [0 pairs]\n")
 
 
 def test_check_non_finite_utility_is_an_error(tmp_path, capsys):
@@ -288,6 +302,12 @@ MALFORMED = {
                    "analysis.eps_eq: not a finite number: nan"),
     "eps-tie-bool": (edited(analysis={"eps_tie": True}), ["solve"],
                      "analysis.eps_tie: not a finite number: True"),
+    # a negative tie empties every argmax, a negative eps_eq every solve
+    "eps-tie-negative": (
+        bundled("kinked-pair.json", analysis={"box": [0, 3], "eps_tie": -1}),
+        ["demand", "--firm", "f", "--prices", "1", "1"], "analysis.eps_tie: negative: -1"),
+    "eps-eq-negative": (edited(analysis={"eps_eq": -1}), ["solve"],
+                        "analysis.eps_eq: negative: -1"),
     "seed-not-an-integer": (edited(analysis={"seed": 1.5}), ["solve"],
                             "analysis.seed: not a whole number: 1.5"),
     "box-with-infinity": (edited(analysis={"box": [0, float("inf")]}), ["solve"],

@@ -1,14 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netclear.demand import (
-    demand_invariance_check,
-    demand_set,
-    indirect_utility,
-    joint_tiebreak_selection,
-    nib_witness,
-)
-from netclear.errors import NotDemanded, PatternViolation, ScheduleExhausted
+from netclear.demand import demand_set, indirect_utility, nib_witness
+from netclear.errors import NotDemanded
 from netclear.instances import (
     kinked_pair_buyer,
     star_intermediary,
@@ -80,41 +74,6 @@ def test_demand_never_empty_and_feasible(prices):
     assert d.bundles == tuple(sorted(d.bundles))
 
 
-def test_joint_tiebreak_selection_refines_demand():
-    u = star_intermediary()
-    n = u.network
-    points = [PriceVector(n, (1.0, 1.0, 1.0, 1.0)),
-              PriceVector(n, (0.0, 1.0, 1.0, 1.0)),
-              PriceVector(n, (0.0, 0.0, 2.0, 2.0))]
-    selection = joint_tiebreak_selection(u, points)
-    for p in points:
-        assert selection[p] in demand_set(u, p).bundles
-
-
-def test_joint_tiebreak_selection_reproducible():
-    u = star_intermediary()
-    n = u.network
-    points = [PriceVector(n, (1.0, 1.0, 1.0, 1.0))]
-    a = joint_tiebreak_selection(u, points, seed=42)
-    b = joint_tiebreak_selection(u, points, seed=42)
-    assert a == b
-
-
-def test_joint_tiebreak_schedule_exhausted_reports_partial():
-    # two bundles valued by the same expression can never untie
-    from netclear.expr import parse_expr
-    from netclear.model import build_network
-    from netclear.utility import FirmUtility
-
-    n = build_network([("t1", "s", "b"), ("t2", "s", "b")])
-    u = FirmUtility("b", n, {n.mask_of(["t1"]): parse_expr("1 - p[t1]"),
-                             n.mask_of(["t2"]): parse_expr("1 - p[t1]")})
-    p = PriceVector(n, (0.0, 0.0))
-    with pytest.raises(ScheduleExhausted) as exc:
-        joint_tiebreak_selection(u, [p], schedule=(1e-3, 0.5, 5))
-    assert p in exc.value.partial
-
-
 def test_nib_witness_triple_trade():
     u = triple_trade_buyer()
     n = u.network
@@ -137,35 +96,3 @@ def test_nib_witness_not_demanded_raises():
     p = PriceVector(n, (3.0, 2.0, 2.0))
     with pytest.raises(NotDemanded):
         nib_witness(u, p, n.mask_of(["w1"]))
-
-
-def test_demand_invariance_true_case():
-    u = star_intermediary()
-    n = u.network
-    bundle = n.mask_of(["a1", "b1"])
-    p2 = PriceVector(n, (1.0, 1.0, 1.0, 1.0))
-    # favor the bundle: its purchase cheaper, its sale dearer, the rest worse
-    p = PriceVector(n, (0.5, 1.5, 1.5, 0.5))
-    assert demand_invariance_check(u, p, p2, bundle) is True
-
-
-def test_demand_invariance_false_case():
-    u = star_intermediary()
-    n = u.network
-    full = n.mask_of(["a1", "a2", "b1", "b2"])
-    p2 = PriceVector(n, (1.0, 1.0, 1.0, 1.0))
-    assert full in demand_set(u, p2).bundles
-    # lowering one purchase price obeys the pattern but the full bundle
-    # drops out of demand (the pairs overtake it)
-    p = PriceVector(n, (0.0, 1.0, 1.0, 1.0))
-    assert demand_invariance_check(u, p, p2, full) is False
-
-
-def test_demand_invariance_pattern_violation():
-    u = star_intermediary()
-    n = u.network
-    bundle = n.mask_of(["a1", "b1"])
-    p2 = PriceVector(n, (1.0, 1.0, 1.0, 1.0))
-    p = PriceVector(n, (1.5, 1.0, 1.0, 1.0))  # purchase inside bundle rises
-    with pytest.raises(PatternViolation):
-        demand_invariance_check(u, p, p2, bundle)

@@ -13,7 +13,7 @@ from netclear.model import (
     MAX_TRADES,
     PriceVector,
     build_network,
-    join_meet_prices,
+    join_meet,
     net_index,
     partition_bundle,
     terminal_roles,
@@ -112,21 +112,10 @@ def test_price_vector_constructors():
     st.tuples(*[st.floats(-10, 10) for _ in range(4)]),
 )
 def test_join_meet_componentwise(a, b):
-    n = star_network()
-    p, q = PriceVector(n, a), PriceVector(n, b)
-    join, meet = join_meet_prices(p, q)
-    for x, y, j, m in zip(a, b, join.values, meet.values):
+    join, meet = join_meet(a, b)
+    for x, y, j, m in zip(a, b, join, meet):
         assert j == max(x, y)
         assert m == min(x, y)
     # commutative and idempotent
-    join2, meet2 = join_meet_prices(q, p)
-    assert join2.values == join.values and meet2.values == meet.values
-    jj, mm = join_meet_prices(p, p)
-    assert jj.values == p.values == mm.values
-
-
-def test_join_meet_network_mismatch():
-    n = star_network()
-    other = build_network([("t", "a", "b")])
-    with pytest.raises(NetworkMismatch):
-        join_meet_prices(PriceVector(n, (0,) * 4), PriceVector(other, (0,)))
+    assert join_meet(b, a) == (join, meet)
+    assert join_meet(a, a) == (a, a)

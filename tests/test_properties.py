@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,21 @@ def test_grid_pattern_pairs_deterministic():
     b = grid_pattern_pairs(u, (-1, 3), 0.5, "purchase-raise", 20, seed=7)
     assert [(p.values, q.values) for p, q in a] == \
         [(p.values, q.values) for p, q in b]
+
+
+def test_one_level_axis_has_no_pairs():
+    # a search for a pair that cannot exist never ends, so it runs in a
+    # child process that the timeout kills
+    code = ("from netclear.instances import star_intermediary\n"
+            "from netclear.properties import exhaustive_pattern_pairs, grid_pattern_pairs\n"
+            "u = star_intermediary()\n"
+            "for side in ('purchase-raise', 'sale-lower'):\n"
+            "    print(len(grid_pattern_pairs(u, (0, 1), 5, side, 10)),\n"
+            "          len(list(exhaustive_pattern_pairs(u, (0, 1), 5, side))))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n0 0\n", "")
 
 
 def test_star_verdicts():

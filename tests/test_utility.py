@@ -22,7 +22,6 @@ from netclear.utility import (
     UtilityProfile,
     check_monotonicity,
     endowment_transform,
-    eval_utility,
     is_unit_demand,
     make_quasilinear,
     make_unit_demand,
@@ -45,16 +44,6 @@ def test_absent_bundle_is_infeasible():
     assert u.value(n.mask_of(["a1"]), p) is INFEASIBLE
     assert u.value(n.mask_of(["a1", "b1"]), p) == 2.0
     assert u.value(0, p) == 0.0
-
-
-def test_eval_utility_restricts_global_bundle():
-    u = star_intermediary()
-    n = u.network
-    p = PriceVector(n, (1.0, 1.0, 1.0, 1.0))
-    # the full network bundle restricted to f is f's full bundle
-    assert eval_utility(u, n.full_mask, p) == pytest.approx(
-        4 - 2 * 2.718281828459045 ** 0)
-    assert eval_utility(u, ["a1", "b1"], p) == 2.0
 
 
 def test_validation_errors():
