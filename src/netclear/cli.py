@@ -40,10 +40,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +115,17 @@ def _json(x, kind: type, where: str):
     return x
 
 
+def _repeat(items: list):
+    """The first item of items equal to an earlier one."""
+    return next(x for i, x in enumerate(items) if x in items[:i])
+
+
 def _names(x, where: str) -> list[str]:
-    """x, when it is a JSON array of strings."""
+    """x, when it is a JSON array of distinct strings."""
     if not (isinstance(x, list) and all(isinstance(name, str) for name in x)):
         _fail(f"{where}: not an array of strings")
+    if len(set(x)) < len(x):
+        _fail(f"{where}: {_repeat(x)!r} listed twice")
     return x
 
 
@@ -133,6 +142,8 @@ def _table(entries, key: str, where: str, known=None, **kwargs) -> dict[frozense
                 _fail(f"{item}: unknown trade {name!r}")
         if "expr" not in entry:
             _fail(f"{item}: missing 'expr'")
+        if frozenset(names) in table:
+            _fail(f"{item}.{key}: {sorted(names)} has an earlier entry")
         table[frozenset(names)] = ex.parse_expr(_json(entry["expr"], str, f"{item}.expr"),
                                                 **kwargs)
     return table
@@ -163,10 +174,18 @@ def _analysis(a) -> Analysis:
                     float(values["eps_eq"]), values["seed"])
 
 
+def _object(pairs: list[tuple], path: str) -> dict:
+    """The JSON object of pairs, when no key in it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _fail(f"{path}: key {_repeat([k for k, _ in pairs])!r} repeated in one object")
+    return obj
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs: _object(pairs, path))
     except OSError as e:
         raise ScenarioParseError(str(e)) from e
     except json.JSONDecodeError as e:
@@ -195,6 +214,8 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
             if key not in _json(t, dict, f"{path}: trades[{i}]"):
                 _fail(f"trades[{i}]: missing {key!r}")
             _json(t[key], str, f"{path}: trades[{i}].{key}")
+        if any(t["id"] == tid for tid, _, _ in trades):
+            _fail(f"{path}: trades[{i}].id: {t['id']!r} repeats an earlier trade id")
         trades.append((t["id"], t["seller"], t["buyer"]))
     network = build_network(trades)
     ids = [t.id for t in network.trades]
@@ -256,7 +277,8 @@ class RunResult:
     exit_code: int
     text: str
     payload: dict
-    csv_rows: list[list] | None = None
+    # rows produced while the CSV report is written
+    csv_rows: Iterable[list] | None = None
 
 
 def emit_report(result: RunResult, out_dir: str | None, stem: str) -> list[str]:
@@ -290,8 +312,15 @@ def _firm(sc: Scenario, firm: str) -> FirmUtility:
     return sc.profile.firms[firm]
 
 
+def _least_firm(sc: Scenario) -> str:
+    """The first firm by name, the default of ``--firm``."""
+    if not sc.profile.firms:
+        raise UnknownFirm("the scenario has no firms")
+    return min(sc.profile.firms)
+
+
 def cmd_demand(sc: Scenario, args) -> RunResult:
-    firm = args.firm or sorted(sc.profile.firms)[0]
+    firm = args.firm or _least_firm(sc)
     try:
         prices = PriceVector.of(sc.network, [float(v) for v in args.prices])
     except ValueError:
@@ -330,7 +359,7 @@ def cmd_check(sc: Scenario, args) -> RunResult:
         raise NetclearError(f"--variant {args.variant}: --property {args.property} "
                             f"takes {takes}")
     firm = args.firm or min((f for f, r in terminal_roles(sc.network).items()
-                             if r == "intermediate"), default=min(sc.profile.firms))
+                             if r == "intermediate"), default=_least_firm(sc))
     u = _firm(sc, firm)
     if args.property == "nib":
         levels = grid_axis(sc.analysis.box, sc.analysis.step, 1)
@@ -383,9 +412,12 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
         lines.append(f"  p={entry['prices']} supports={entry['supports']}")
     csv_rows = None
     if getattr(args, "csv", False):
-        points, z = grid_surplus(sc.profile, sc.analysis.box, sc.analysis.step)
-        csv_rows = [["trade:" + t.id for t in sc.network.trades] + ["Z"]]
-        csv_rows += [row + [zr] for row, zr in zip(points.tolist(), z)]
+        # the scan above evaluated every firm on this grid, so no row can fail
+        csv_rows = itertools.chain(
+            [["trade:" + t.id for t in sc.network.trades] + ["Z"]],
+            (row + [zr] for points, z in grid_surplus(sc.profile, sc.analysis.box,
+                                                       sc.analysis.step)
+             for row, zr in zip(points.tolist(), z)))
     return RunResult(0, "\n".join(lines) + "\n", payload, csv_rows)
 
 

@@ -479,15 +479,23 @@ def _coordinate_descent(cp: _CompiledProfile, starts: np.ndarray, z: np.ndarray,
 
 
 def grid_surplus(u: UtilityProfile, box: tuple[float, float],
-                 step: float) -> tuple[np.ndarray, list[float]]:
+                 step: float) -> Iterator[tuple[np.ndarray, list[float]]]:
     """Every point of the grid, in row-major order, and its exact Z from the
-    record kernel."""
+    record kernel, one kernel block of points at a time, so memory does not
+    grow with the grid.  The box and step are checked by ``grid_axis`` when
+    it is called, before the first block."""
     n = u.network.n
     axis = grid_axis(box, step, n)
-    levels = len(axis)
-    points = axis[np.indices((levels,) * n).reshape(n, levels ** n).T]
-    z, _fit, _best = _compiled(u).evaluate(points, EPS_TIE)
-    return points, z
+    levels, cp = len(axis), _compiled(u)
+    total, rows = levels ** n, max(1, BATCH // len(cp.feasible_globals))
+    # the row-major digits of a point index: index // place % levels
+    place = levels ** np.arange(n - 1, -1, -1)
+
+    def block(a: int) -> tuple[np.ndarray, list[float]]:
+        points = axis[np.arange(a, min(a + rows, total))[:, None] // place % levels]
+        return points, cp.evaluate(points, EPS_TIE)[0]
+
+    return map(block, range(0, total, rows))
 
 
 def grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:

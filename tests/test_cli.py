@@ -183,11 +183,14 @@ def test_solve_scan_outside_the_domain_is_an_error(tmp_path, capsys):
         },
         "analysis": {"box": [0, 3], "step": 0.25},
     }))
-    assert main(["solve", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "not finite" in captured.err
-    assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
-    assert captured.out == ""
+    out_dir = tmp_path / "out"
+    for csv_flag in ([], ["--csv"]):
+        # the CSV rows are written as they are computed: the scan fails first
+        assert main(["solve", str(path), "--out", str(out_dir)] + csv_flag) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert captured.out == "" and not out_dir.exists()
 
 
 def test_unit_demand_outside_its_domain_is_an_error(tmp_path, capsys):
@@ -283,6 +286,13 @@ def bundled(name, **changes):
 
 MATCHING = bundled("matching-small.json")
 EXCHANGE = bundled("exchange-small.json")
+KINKED = bundled("kinked-pair.json")
+
+
+# the ONE_TRADE file with a second "a" table, text since a dict cannot hold it
+REPEATED_KEY = json.dumps(ONE_TRADE).replace(
+    '"utilities": {', '"utilities": {"a": [{"bundle": [], "expr": "1"}], ')
+NO_TRADES = {"version": 1, "kind": "network", "trades": [], "utilities": {}}
 
 
 MALFORMED = {
@@ -377,6 +387,48 @@ MALFORMED = {
             "A": {**EXCHANGE["agents"]["A"],
                   "utility": [{"objects": "x", "expr": "1 + t"}]}}),
         ["solve"], "case.json: agents[A].utility[0].objects: not an array of strings"),
+    # a repeated name set, name, key or trade id is an error, not a silent merge
+    "bundle-set-twice": (
+        bundled("kinked-pair.json", utilities={
+            **KINKED["utilities"],
+            "f": KINKED["utilities"]["f"] + [{"bundle": ["w1"], "expr": "9 - p[w1]"}]}),
+        ["solve"], "case.json: utilities[f][4].bundle: ['w1'] has an earlier entry"),
+    "bundle-name-twice": (
+        bundled("kinked-pair.json", utilities={
+            **KINKED["utilities"],
+            "f": KINKED["utilities"]["f"] + [{"bundle": ["w1", "w1"], "expr": "9 - p[w1]"}]}),
+        ["solve"], "case.json: utilities[f][4].bundle: 'w1' listed twice"),
+    "doctors-set-twice": (
+        bundled("matching-small.json", hospitals={"h1": MATCHING["hospitals"]["h1"] + [
+            {"doctors": ["d1"], "expr": "9 - p[d1]"}]}),
+        ["solve"], "case.json: hospitals[h1][4].doctors: ['d1'] has an earlier entry"),
+    "doctors-name-twice": (
+        bundled("matching-small.json", hospitals={"h1": [
+            {"doctors": ["d1", "d1"], "expr": "3 - p[d1]"}]}),
+        ["solve"], "case.json: hospitals[h1][0].doctors: 'd1' listed twice"),
+    "utility-objects-name-twice": (
+        bundled("exchange-small.json", agents={
+            **EXCHANGE["agents"],
+            "A": {**EXCHANGE["agents"]["A"],
+                  "utility": [{"objects": ["x", "x"], "expr": "1 + t"}]}}),
+        ["solve"], "case.json: agents[A].utility[0].objects: 'x' listed twice"),
+    "objects-name-twice": (bundled("exchange-small.json", objects=["x", "y", "x"]),
+                           ["solve"], "case.json: objects: 'x' listed twice"),
+    "repeated-key": (REPEATED_KEY, ["solve"], "case.json: key 'a' repeated in one object"),
+    "repeated-trade-id": (
+        edited(trades=ONE_TRADE["trades"] * 2), ["solve"],
+        "case.json: trades[1].id: 't' repeats an earlier trade id"),
+    # with no firms there is no default --firm
+    "no-trades-demand": (NO_TRADES, ["demand", "--prices", "1"],
+                         "the scenario has no firms"),
+    "no-trades-check": (NO_TRADES, ["check", "--property", "sss"],
+                        "the scenario has no firms"),
+    "no-agents-check": (
+        {"version": 1, "kind": "exchange", "objects": [], "agents": {}},
+        ["check", "--property", "nib"], "the scenario has no firms"),
+    "no-hospitals-demand": (
+        {"version": 1, "kind": "matching", "hospitals": {}, "doctors": {}},
+        ["demand", "--prices", "1"], "the scenario has no firms"),
     # --variant names a variant of the checked property, or is left out
     "nib-variant": (None, ["check", "--property", "nib", "--variant", "weak"],
                     "--variant weak: --property nib takes no variant"),
@@ -415,7 +467,7 @@ def test_malformed_input_is_one_error_line(raw, argv, message, tmp_path, capsys)
     if raw is not None:
         path = str(tmp_path / "case.json")
         with open(path, "w") as fh:
-            json.dump(raw, fh)
+            fh.write(raw if isinstance(raw, str) else json.dumps(raw))
     # a grid too large fails before its levels are allocated
     tracemalloc.start()
     try:

@@ -185,7 +185,12 @@ def test_writer_flushes_pieces_while_it_writes():
 
 def cli_cases():
     cases = []
-    for name, step in (("star", None), ("kinked-pair", None), ("three-supplier", "0.5")):
+    # every bundled scenario: matching-small's prices are negated salaries, the
+    # induced scenarios' adapt reports hold a roles map, and exchange-small's
+    # trade ids carry ":" and ">"
+    for name, step in (("star", None), ("kinked-pair", None), ("three-supplier", "0.5"),
+                       ("exchange-small", None), ("matching-small", None),
+                       ("triple-trade", None)):
         path = os.path.join(SCENARIOS, f"{name}.json")
         n = load_scenario(path).network.n
         for argv in (["demand", "--prices"] + ["1.0"] * n,

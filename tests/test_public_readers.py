@@ -15,8 +15,9 @@ SRC = ROOT / "src" / "netclear"
 # exported names that only tests read, each kept for a result of the paper
 # or an acceptance criterion, with the test that covers it
 ALLOWED = {
-    # ROADMAP item 2, the premise (utilities monotone in prices) of the
-    # certified-cell bound; tests/test_utility.py
+    # the model's monotonicity of utility in prices, which make_unit_demand
+    # enforces for unit-demand buyers and this function samples for any
+    # firm; tests/test_utility.py
     "check_monotonicity",
     # the endowment construction (trades a firm may execute at frozen
     # prices), its dominance and identity properties; tests/test_utility.py

@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -517,6 +518,29 @@ def test_solve_csv_matches_scalar_surplus(tmp_path, capsys):
     for row, point in zip(rows[1:], points):
         assert tuple(map(float, row[:-1])) == point
         assert float(row[-1]) == pytest.approx(want(point), abs=1e-12)
+
+
+def test_solve_csv_streams_kernel_blocks(tmp_path, capsys):
+    """solve --csv writes the grid one kernel block at a time: on star's
+    17^4 = 83,521 points (four blocks) the traced peak stays under 16 MiB
+    (29 MiB when every row was held before the file was written), and the
+    rows keep row-major order and the whole-grid Z across the blocks."""
+    path = os.path.join(SCENARIOS, "star.json")
+    tracemalloc.start()
+    try:
+        assert main(["solve", path, "--csv", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    with open(tmp_path / "star-solve.csv", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    sc = load_scenario(path)
+    points = list(itertools.product(grid(sc.analysis.box, sc.analysis.step).tolist(),
+                                    repeat=sc.network.n))
+    assert [tuple(map(float, row[:-1])) for row in rows] == points
+    assert [float(row[-1]) for row in rows] == _compiled(sc.profile).evaluate(points, EPS_TIE)[0]
+    assert peak < 16 * 2 ** 20
 
 
 # -- array-backed equilibrium sets and the mechanism on them ----------------------
