@@ -153,23 +153,24 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _analysis(a) -> Analysis:
+def _analysis(a, path: str) -> Analysis:
     if not isinstance(a, dict):
-        _fail("analysis: not a JSON object")
+        _fail(f"{path}: analysis: not a JSON object")
     box = a.get("box", (-1.0, 3.0))
     if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(map(_finite, box))):
-        _fail(f"analysis.box: not two numbers: {box!r}")
+        _fail(f"{path}: analysis.box: not two numbers: {box!r}")
     values = {"step": 0.25, "eps_tie": EPS_TIE, "eps_eq": EPS_EQ, "seed": 42}
     for key in values:
         x = values[key] = a.get(key, values[key])
         whole = key == "seed"
         if not _finite(x) or whole and type(x) is not int:
-            _fail(f"analysis.{key}: not a {'whole' if whole else 'finite'} number: {x!r}")
+            _fail(f"{path}: analysis.{key}: not a {'whole' if whole else 'finite'} "
+                  f"number: {x!r}")
     if values["step"] <= 0:
-        _fail(f"analysis.step: not positive: {values['step']!r}")
+        _fail(f"{path}: analysis.step: not positive: {values['step']!r}")
     for key in ("eps_tie", "eps_eq"):
         if values[key] < 0:
-            _fail(f"analysis.{key}: negative: {values[key]!r}")
+            _fail(f"{path}: analysis.{key}: negative: {values[key]!r}")
     return Analysis(tuple(box), float(values["step"]), float(values["eps_tie"]),
                     float(values["eps_eq"]), values["seed"])
 
@@ -195,16 +196,16 @@ def load_scenario(path: str) -> Scenario:
         _fail(f"{path}: the scenario is not a JSON object")
     if raw.get("version") != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
-            f"expected version {SCHEMA_VERSION}, got {raw.get('version')!r}")
+            f"{path}: expected version {SCHEMA_VERSION}, got {raw.get('version')!r}")
     kind = raw.get("kind", "network")
-    analysis = _analysis(raw.get("analysis", {}))
+    analysis = _analysis(raw.get("analysis", {}), path)
     if kind == "network":
         return _load_network(raw, analysis, path)
     if kind == "matching":
         return _load_matching(raw, analysis, path)
     if kind == "exchange":
         return _load_exchange(raw, analysis, path)
-    _fail(f"unknown scenario kind {kind!r}")
+    _fail(f"{path}: unknown scenario kind {kind!r}")
 
 
 def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
@@ -212,7 +213,7 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
     for i, t in enumerate(_json(raw.get("trades", []), list, f"{path}: trades")):
         for key in ("id", "seller", "buyer"):
             if key not in _json(t, dict, f"{path}: trades[{i}]"):
-                _fail(f"trades[{i}]: missing {key!r}")
+                _fail(f"{path}: trades[{i}]: missing {key!r}")
             _json(t[key], str, f"{path}: trades[{i}].{key}")
         if any(t["id"] == tid for tid, _, _ in trades):
             _fail(f"{path}: trades[{i}].id: {t['id']!r} repeats an earlier trade id")
@@ -222,13 +223,13 @@ def _load_network(raw: dict, analysis: Analysis, path: str) -> Scenario:
     firms = {}
     for f, entries in _json(raw.get("utilities", {}), dict, f"{path}: utilities").items():
         if f not in network.firms:
-            _fail(f"utilities: unknown firm {f!r}")
+            _fail(f"{path}: utilities: unknown firm {f!r}")
         table = _table(entries, "bundle", f"{path}: utilities[{f}]", network.index,
                        allowed_trades=ids)
         firms[f] = FirmUtility(f, network, {network.mask_of(b): e for b, e in table.items()})
     missing = network.firms - set(firms)
     if missing:
-        _fail(f"no utilities for firms {sorted(missing)}")
+        _fail(f"{path}: no utilities for firms {sorted(missing)}")
     profile = UtilityProfile(network, firms)
     return Scenario("network", network, profile, analysis)
 

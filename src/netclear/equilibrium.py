@@ -40,9 +40,10 @@ share is within the tie tolerance of the firm's best; these factor by firm
 because every trade belongs to some firm) and the indirect utilities.  It
 is the one implementation of Z: ``surplus`` is a batch of one point, and
 the descent of ``find_equilibria`` sends the trials of all its starts
-through it, writes each end point and its Z over its start's row of the
-kernel arrays, and sends the ends it keeps back through it for their
-supports and indirect utilities.  ``find_equilibria`` returns its rows as
+through it, one call per round with each start's next positions in it,
+writes each end point and its Z over its start's row of the kernel
+arrays, and sends the ends it keeps back through it for their supports
+and indirect utilities.  ``find_equilibria`` returns its rows as
 an ``EquilibriumSet`` that builds a record only when indexed;
 ``dominant``, the one rule of the extremal check and the mechanism, ranks
 on the set's indirect utilities.
@@ -73,6 +74,7 @@ from .errors import (
     EmptyBox,
     EmptySet,
     GridTooLarge,
+    NonFiniteUtility,
     NotAnEquilibriumInput,
 )
 from .model import PriceVector, join_meet, net_index, terminal_roles
@@ -446,36 +448,119 @@ def is_equilibrium(u: UtilityProfile, p: PriceVector,
 def _coordinate_descent(cp: _CompiledProfile, starts: np.ndarray, z: np.ndarray,
                         step: float, eps_eq: float) -> tuple[np.ndarray, np.ndarray]:
     """Derivative-free cyclic coordinate line-search on Z from each row of
-    starts (whose Z is z), all in lockstep; returns the end points and Z.
+    starts (whose Z is z); returns the end points and Z.
 
     Each start keeps its own step, first ``step``, halved after a sweep in
-    which it gained nothing.  A start runs while its step is at least
-    ``DESCENT_STOP`` and its Z above ``eps_eq / 10``, for at most
-    ``DESCENT_SWEEPS`` sweeps.  Per coordinate, the up and down trials of
-    all running starts go through one kernel call; a start takes the up
-    trial when it lowers Z by more than 1e-15, then the down trial when it
-    lowers that Z by more than 1e-15."""
+    which it gained nothing.  A start runs a sweep while its step is at
+    least ``DESCENT_STOP`` and its Z above ``eps_eq / 10`` at the sweep's
+    start, for at most ``DESCENT_SWEEPS`` sweeps.  At each coordinate it
+    tries x + step and x - step from the same point: it takes the up trial
+    when it lowers Z by more than 1e-15, then the down trial when it lowers
+    that Z by more than 1e-15.
+
+    Each round makes one kernel call for all running starts.  A start's
+    trials cover its next H positions (coordinate and sweep), built as if
+    no trial gains: the point stays, the step holds to the sweep's end and
+    then halves per sweep (held once more after a gain in this sweep), up
+    to where the start would stop.  A kernel row depends on its point only,
+    so up to its first gain these are the trials and Z of the descent one
+    start at a time: the start takes that gain and resumes after it, and
+    its later, speculative trials are dropped.  H starts at the number of
+    coordinates and doubles each round, capped by the positions a start
+    can still run and, per call, by one kernel block (``BATCH`` regret
+    entries).  A trial that is not finite raises ``NonFiniteUtility`` only
+    at a start's next position, which the descent tries whatever gains;
+    further on, the round cuts the start's positions there instead.
+    """
     x, z = starts.copy(), z.copy()
-    steps = np.full(len(x), step)
-    for _sweep in range(DESCENT_SWEEPS):
-        live = np.flatnonzero((steps >= DESCENT_STOP) & (z > eps_eq * 0.1))
+    count, n = x.shape
+    # per start: its sweep, next coordinate, step (step * 2**-halved), and
+    # whether it gained earlier in this sweep
+    sweep, coord, halved = (np.zeros(count, dtype=np.intp) for _ in range(3))
+    gained = np.zeros(count, dtype=bool)
+    # a sweep with step * 2**-halved below DESCENT_STOP, halved >= levels, stops
+    levels = 0
+    while math.ldexp(step, -levels) >= DESCENT_STOP:
+        levels += 1
+    block = max(1, BATCH // len(cp.feasible_globals))
+    horizon = n
+    while True:
+        inside = coord > 0
+        # the halvings of the next whole sweep, and the whole sweeps left
+        first = halved + (inside & ~gained)
+        whole = np.minimum(DESCENT_SWEEPS - sweep - inside, levels - first)
+        whole = np.where(z > eps_eq * 0.1, np.maximum(whole, 0), 0)
+        left = np.where(inside, n - coord, 0) + whole * n
+        live = np.flatnonzero(left)
         if not len(live):
-            break
-        improved = np.zeros(len(live), dtype=bool)
-        for i in range(x.shape[1]):
-            # rows up_0, down_0, up_1, down_1, ...
-            trials = np.repeat(x[live], 2, axis=0)
-            trials[:, i] += np.stack([steps[live], -steps[live]], 1).ravel()
-            zt = np.array(cp.evaluate(trials, EPS_TIE)[0]).reshape(-1, 2)
-            zl, xi = z[live], x[live, i]
-            for side in (0, 1):
-                take = zt[:, side] < zl - 1e-15
-                zl = np.where(take, zt[:, side], zl)
-                xi = np.where(take, trials[side::2, i], xi)
-                improved |= take
-            z[live], x[live, i] = zl, xi
-        steps[live[~improved]] *= 0.5
-    return x, z
+            return x, z
+        h = np.minimum(left[live], min(horizon, max(1, block // (2 * len(live)))))
+        horizon = min(2 * horizon, block)
+        while True:
+            # position k of live start `owner`; rows up_0, down_0, up_1, ...
+            owner = np.repeat(np.arange(len(live)), h)
+            offset = np.cumsum(h) - h
+            k = np.arange(len(owner)) - offset[owner]
+            j = live[owner]
+            q, i = np.divmod(coord[j] + k, n)
+            e = np.where(q == 0, halved[j], first[j] + q - inside[j])
+            s = np.ldexp(step, -e)
+            trials = np.repeat(x[j], 2, axis=0)
+            trials[np.arange(len(trials)), np.repeat(i, 2)] += np.stack([s, -s], 1).ravel()
+            try:
+                zt = np.array(cp.evaluate(trials, EPS_TIE)[0]).reshape(-1, 2)
+                break
+            except NonFiniteUtility as err:
+                # the call is one kernel block unless every start has one
+                # position, so err.row names the offending trial
+                r = err.row // 2
+                if k[r] == 0:
+                    raise
+                h[owner[r]] = k[r]
+        up = zt[:, 0] < z[j] - 1e-15
+        after = np.where(up, zt[:, 0], z[j])
+        down = zt[:, 1] < after - 1e-15
+        # each live start's first gain, h where it has none
+        hit = np.minimum.reduceat(np.where(up | down, k, h[owner]), offset)
+        took = hit < h
+        r = offset[took] + hit[took]
+        x[j[r], i[r]] = trials[2 * r + down[r], i[r]]
+        z[j[r]] = np.where(down[r], zt[r, 1], after[r])
+        q, coord[live] = np.divmod(coord[live] + np.where(took, hit + 1, h), n)
+        halved[live] = np.where(q == 0, halved[live], first[live] + q - inside[live])
+        # a gain holds its step to the end of its sweep and through the next
+        halved[live[took]] = e[r]
+        gained[live] = np.where(took, coord[live] > 0, gained[live] & (q == 0))
+        sweep[live] += q
+
+
+def _dedupe(points: np.ndarray, rows: np.ndarray, loose: np.ndarray) -> np.ndarray:
+    """rows, in order, without each row within ``DEDUP_TOL`` at infinity
+    distance of an earlier row that is kept: the greedy in row order.
+
+    Only a pair holding a ``loose`` row may be that close; the other rows
+    are grid points more than ``2 * DEDUP_TOL`` apart.  So each loose row is
+    compared with every row, ``|a - b| <= DEDUP_TOL`` one coordinate at a
+    time, in blocks of at most ``BATCH`` entries, and the greedy runs over
+    the close pairs only."""
+    p, near = points[rows], np.flatnonzero(loose[rows])
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    per = max(1, BATCH // max(1, len(rows)))
+    for lo in range(0, len(near), per):
+        mine = near[lo:lo + per]
+        close = reduce(np.logical_and, (np.abs(p[mine, d][:, None] - p[:, d]) <= DEDUP_TOL
+                                        for d in range(p.shape[1])))
+        a, b = np.nonzero(close)
+        a = mine[a]
+        pairs.append(np.stack([np.minimum(a, b), np.maximum(a, b)])[:, a != b])
+    first, later = np.concatenate(pairs, 1)
+    # by the later row: each row's status is final before a later row reads it
+    order = np.lexsort((first, later))
+    dropped: set[int] = set()
+    for a, b in zip(first[order].tolist(), later[order].tolist()):
+        if a not in dropped:
+            dropped.add(b)
+    return np.delete(rows, list(dropped))
 
 
 def grid_surplus(u: UtilityProfile, box: tuple[float, float],
@@ -539,12 +624,15 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     exact Z, the supports and the indirect utilities of every candidate;
     candidates with Z <= ``eps_eq`` are kept directly.  The rest start a
     coordinate descent on the same kernel's Z (when ``refine``; its first
-    step is ``step / 2``, and all starts run in lockstep), whose end points
-    and Z replace their starts' rows in place.  After deduplication in row
-    order, only the kept rows that moved go through one more kernel call,
-    which refreshes their supports and indirect utilities.  The kept rows
-    with a support make the returned ``EquilibriumSet``, whose records are
-    built only when indexed.
+    step is ``step / 2``, and each round sends the next trials of all
+    running starts through one kernel call, see ``_coordinate_descent``),
+    whose end points and Z replace their starts' rows in place.  Rows with
+    Z <= ``eps_eq`` are deduplicated greedily in row order (``_dedupe``:
+    only a moved row, or any row when ``step <= 2 * DEDUP_TOL``, can be
+    within ``DEDUP_TOL`` of another); then only the kept rows that moved go
+    through one more kernel call, which refreshes their supports and
+    indirect utilities.  The kept rows with a support make the returned
+    ``EquilibriumSet``, whose records are built only when indexed.
 
     Completeness is relative to the grid: connected equilibrium continua come
     back as the grid points (plus descent refinements) that hit them, after
@@ -573,16 +661,10 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
         points[starts], z[starts] = _coordinate_descent(
             cp, points[starts], z[starts], step / 2, eps_eq)
     rows = np.flatnonzero(z <= eps_eq)
-    # dedupe at infinity distance; raw grid points are already distinct
-    if refine or step <= 2 * DEDUP_TOL:
-        kept: list[int] = []
-        seen = np.empty((len(rows), n))
-        for r in rows.tolist():
-            if kept and (np.abs(seen[:len(kept)] - points[r]).max(1) <= DEDUP_TOL).any():
-                continue
-            seen[len(kept)] = points[r]
-            kept.append(r)
-        rows = np.array(kept, dtype=np.intp)
+    # grid points more than 2 * DEDUP_TOL apart are already distinct
+    tiny = step <= 2 * DEDUP_TOL
+    if refine or tiny:
+        rows = _dedupe(points, rows, moved | tiny)
     # the fit and indirect utilities of a moved row are still its start's
     fresh = rows[moved[rows]]
     if len(fresh):

@@ -8,6 +8,7 @@ import pytest
 
 from netclear.cli import build_parser, load_scenario, main
 from netclear.errors import (
+    NetclearError,
     ScenarioParseError,
     ScenarioValidationError,
     SchemaVersionMismatch,
@@ -418,6 +419,18 @@ MALFORMED = {
     "repeated-trade-id": (
         edited(trades=ONE_TRADE["trades"] * 2), ["solve"],
         "case.json: trades[1].id: 't' repeats an earlier trade id"),
+    "trade-without-id": (edited(trades=[{"seller": "a", "buyer": "b"}]), ["solve"],
+                         "case.json: trades[0]: missing 'id'"),
+    "utilities-unknown-firm": (
+        edited(utilities={**ONE_TRADE["utilities"], "zz": []}), ["solve"],
+        "case.json: utilities: unknown firm 'zz'"),
+    "utilities-missing-firm": (edited(utilities={"a": ONE_TRADE["utilities"]["a"]}),
+                               ["solve"], "case.json: no utilities for firms ['b']"),
+    "unknown-kind": ({"version": 1, "kind": "nope"}, ["solve"],
+                     "case.json: unknown scenario kind 'nope'"),
+    "wrong-version": (edited(version=2), ["solve"], "case.json: expected version 1, got 2"),
+    "analysis-a-list": (edited(analysis=[0.5]), ["solve"],
+                        "case.json: analysis: not a JSON object"),
     # with no firms there is no default --firm
     "no-trades-demand": (NO_TRADES, ["demand", "--prices", "1"],
                          "the scenario has no firms"),
@@ -479,6 +492,11 @@ def test_malformed_input_is_one_error_line(raw, argv, message, tmp_path, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err and peak < 50 * 2 ** 20
+    # an error in the file names the file
+    try:
+        load_scenario(path)
+    except NetclearError:
+        assert f"error: {path}: " in err, err
 
 
 def test_mechanism_command(capsys):

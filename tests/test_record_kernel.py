@@ -3,9 +3,10 @@ and for the verifiers and CLI paths built on it.
 
 The kernel must give, row by row, the surplus by definition (read through
 the expression interpreter), the supports that the per-firm demand sets
-admit, and the indirect utilities, whatever the block size.  The lockstep
-descent of ``find_equilibria`` must give the bits of a descent run one
-start at a time.  The extremal ranking and the
+admit, and the indirect utilities, whatever the block size.  The descent
+of ``find_equilibria``, one kernel call per round for all its starts, must
+give the bits of a descent run one start and one trial at a time, and its
+deduplication the greedy loop's rows.  The extremal ranking and the
 ``lattice`` command must agree with their per-record and per-pair forms,
 the array-backed ``EquilibriumSet`` and the mechanism with the list of
 records they replace, and the per-firm caches with fresh compilation.
@@ -23,6 +24,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from netclear import equilibrium, expr as ex, mechanisms
 from netclear.cli import load_scenario, main
@@ -567,6 +569,11 @@ def descent_one_start(cp, start, step):
     return tuple(x), z
 
 
+def near_kept(point, kept):
+    """Whether point is within 1e-6 at infinity distance of a kept point."""
+    return any(max(abs(a - b) for a, b in zip(point, q)) <= 1e-6 for q in kept)
+
+
 def record_list(u, box, step, refine):
     """The list form of ``find_equilibria``: every kept point becomes a
     record at once, each through its own kernel call on an uncached
@@ -581,7 +588,7 @@ def record_list(u, box, step, refine):
             point, z = descent_one_start(cp, cand, step / 2)
             if z > EPS_EQ:
                 continue
-        if any(max(abs(a - b) for a, b in zip(point, q)) <= 1e-6 for q in kept):
+        if near_kept(point, kept):
             continue
         kept.append(point)
         (z,), (fit,), _ = cp.evaluate([point], SUPPORT_TIE)
@@ -659,9 +666,44 @@ def ridge_market():
     })
 
 
+def slope_market(order):
+    """Trade a clears at 2.9 only, where ``Z = 6e-8 * |2.9 - p[a]|``, and trade
+    b at any price in [0, 2]; ``order`` gives the trades' coordinate order.
+    From the grid of step 0.5, each sweep's gain on a lowers Z by 1.5e-8,
+    until Z falls to 9e-9 at 2.75, below eps_eq / 10 with the step still
+    able to gain: after a, that is mid-sweep; after b, every gain is on a
+    sweep's last coordinate, which keeps the step for the next sweep."""
+    net = build_network([{"a": ("a", "sa", "ba"), "b": ("b", "sb", "bb")}[t] for t in order])
+    return UtilityProfile(net, {
+        "sa": table(net, "sa", {(): "0", ("a",): "p[a] - 2.9"}),
+        "ba": table(net, "ba", {(): "0", ("a",): "0.00000006 * (2.9 - p[a])"}),
+        "sb": table(net, "sb", {(): "0", ("b",): "p[b]"}),
+        "bb": table(net, "bb", {(): "0", ("b",): "2 - p[b]"}),
+    })
+
+
+def climb_market():
+    """One trade with ``Z = 0.001 * (100 - p[a])`` below 60: each sweep from a
+    grid point of [0, 1] gains one step of 0.25, so every start runs all
+    DESCENT_SWEEPS sweeps."""
+    net = build_network([("a", "s", "b")])
+    return UtilityProfile(net, {
+        "s": table(net, "s", {(): "0", ("a",): "p[a] - 60"}),
+        "b": table(net, "b", {(): "0", ("a",): "0.001 * (100 - p[a])"}),
+    })
+
+
+THREE_SUPPLIER = load_scenario(os.path.join(SCENARIOS, "three-supplier.json"))
+
+# the rural cases hold the other bundled scenarios at their own step
 DESCENT_CASES = [(f"profile-{case[0]}", *case[1:]) for case in PROFILES] + \
     [(f"rural-{case[0]}", *case[1:]) for case in RURAL_CASES] + \
-    [("ridge", ridge_market(), (0.0, 3.0), 0.5)]
+    [("ridge", ridge_market(), (0.0, 3.0), 0.5),
+     ("own-step-three-supplier.json", THREE_SUPPLIER.profile, THREE_SUPPLIER.analysis.box,
+      THREE_SUPPLIER.analysis.step),
+     ("mid-sweep", slope_market("ab"), (0.0, 2.0), 0.5),
+     ("last-coordinate", slope_market("ba"), (0.0, 2.0), 0.5),
+     ("sweeps", climb_market(), (0.0, 1.0), 0.5)]
 
 
 @pytest.mark.parametrize("name,u,box,step", DESCENT_CASES,
@@ -693,6 +735,159 @@ def test_descent_cases_refine_off_the_grid():
         on_grid = np.isin(found.prices, grid(box, step)).all(1)
         refined += int((~on_grid).sum())
     assert refined >= 10
+
+
+def descent_starts(u, box, step):
+    """The compiled profile, and the scan hits that start a descent with their Z."""
+    cp = _CompiledProfile(u)
+    hits = np.array(cp.scan_hits(grid(box, step), step / 2 + 1e-15), dtype=float)
+    z = np.array(cp.evaluate(hits, SUPPORT_TIE)[0])
+    return cp, hits[z > EPS_EQ], z[z > EPS_EQ]
+
+
+def test_descent_cases_bind_their_stop_rules():
+    # every start climbs one step per sweep until DESCENT_SWEEPS stops it
+    cp, starts, z = descent_starts(climb_market(), (0.0, 1.0), 0.5)
+    ends, _zr = _coordinate_descent(cp, starts, z, 0.25, EPS_EQ)
+    assert len(starts) == 3 and ends.tolist() == (starts + DESCENT_SWEEPS * 0.25).tolist()
+    # Z falls below eps_eq / 10 and stops there, short of 0
+    for order in ("ab", "ba"):
+        cp, starts, z = descent_starts(slope_market(order), (0.0, 2.0), 0.5)
+        _ends, zr = _coordinate_descent(cp, starts, z, 0.25, EPS_EQ)
+        assert len(starts) == 15 and ((zr > 0) & (zr <= EPS_EQ * 0.1)).all()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 24, 60])
+def test_descent_rounds_fit_one_kernel_block(rows, monkeypatch):
+    # a round's trials fill at most one block of the record kernel, or one
+    # position per running start; the ends stay those of one start at a time
+    for u, box, step in ((load_scenario(os.path.join(SCENARIOS, "kinked-pair.json")).profile,
+                          (0.0, 3.0), 0.25),
+                         (slope_market("ba"), (0.0, 2.0), 0.5)):
+        cp, starts, z = descent_starts(u, box, step)
+        alone = [descent_one_start(cp, start, step / 2) for start in starts.tolist()]
+        monkeypatch.setattr(equilibrium, "BATCH", rows * len(cp.feasible_globals))
+        calls = count_kernel_calls(monkeypatch)
+        ends, zr = _coordinate_descent(cp, starts, z, step / 2, EPS_EQ)
+        monkeypatch.undo()
+        assert bits(ends) == bits([end for end, _z in alone])
+        assert bits(zr) == bits([ze for _end, ze in alone])
+        assert calls and max(calls) <= max(rows, 2 * len(starts))
+
+
+def test_descent_makes_one_kernel_call_per_round(monkeypatch):
+    # one call per coordinate and sweep made 125, 100 and 88
+    limits = {"star.json": 8, "triple-trade.json": 10, "kinked-pair.json": 24}
+    calls = count_kernel_calls(monkeypatch)
+    for name, limit in limits.items():
+        sc = load_scenario(os.path.join(SCENARIOS, name))
+        calls.clear()
+        find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step, refine=True)
+        assert len(calls) <= limit, name
+
+
+def domain_market(order, domain):
+    """Trade a clears at 0.25 only and trade b at any price in [0, 2], in
+    coordinate ``order``; a's seller adds ``0 * sqrt(domain)`` to its empty
+    bundle, which leaves Z alone where domain >= 0 and is NaN elsewhere."""
+    net = build_network([{"a": ("a", "sa", "ba"), "b": ("b", "sb", "bb")}[t] for t in order])
+    return UtilityProfile(net, {
+        "sa": table(net, "sa", {(): f"0 * sqrt({domain})", ("a",): "p[a] - 0.25"}),
+        "ba": table(net, "ba", {(): "0", ("a",): "0.25 - p[a]"}),
+        "sb": table(net, "sb", {(): "0", ("b",): "p[b]"}),
+        "bb": table(net, "bb", {(): "0", ("b",): "2 - p[b]"}),
+    })
+
+
+def raised_kernel_calls(monkeypatch) -> list[int]:
+    """Log the point count of every ``_CompiledProfile.evaluate`` call that raises."""
+    raised = []
+    evaluate = _CompiledProfile.evaluate
+
+    def logged(cp, points, *args):
+        try:
+            return evaluate(cp, points, *args)
+        except NonFiniteUtility:
+            raised.append(len(points))
+            raise
+
+    monkeypatch.setattr(_CompiledProfile, "evaluate", logged)
+    return raised
+
+
+def test_speculative_trials_outside_the_domain_do_not_raise(monkeypatch):
+    # the start (0, 0) gains at a; its next position from (0, 0) would try
+    # (0, -0.25), where a + 2b + 0.25 < 0, but the descent goes on from
+    # (0.25, 0), and every trial it makes stays in the domain
+    u = domain_market("ab", "p[a] + 2 * p[b] + 0.25")
+    want = record_list(u, (0.0, 2.0), 0.5, True)
+    raised = raised_kernel_calls(monkeypatch)
+    found = find_equilibria(u, (0.0, 2.0), 0.5)
+    assert raised and found == want
+    assert [rec.prices.values for rec in want] == [(0.25, b) for b in (0.0, 0.5, 1.0, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("order,domain", [("ab", "p[a] + 2 * p[b]"), ("ba", "p[a]")])
+def test_descent_trials_outside_the_domain_raise(order, domain):
+    # (0, 0) tries a = -0.25 at its first position ("ab"), or after b ("ba")
+    u = domain_market(order, domain)
+    for search in (record_list, find_equilibria):
+        with pytest.raises(NonFiniteUtility, match="not finite at prices"):
+            search(u, (0.0, 2.0), 0.5, True)
+
+
+TOL = equilibrium.DEDUP_TOL
+# offsets of a moved point from a grid point, exact distances of DEDUP_TOL included
+OFFSETS = st.sampled_from([0.0, TOL, -TOL, TOL / 2, -TOL / 2, 1.5 * TOL, 2 * TOL, 3e-7])
+
+
+@st.composite
+def dedupe_inputs(draw):
+    """Points of a grid of step 0.25, each either a distinct grid point or
+    loose (a grid point plus offsets), the rows kept by Z, the loose mask
+    and a block size; on a tiny grid (the step at most 2 * DEDUP_TOL, any
+    points) every row is loose."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 40))
+    tiny = draw(st.booleans())
+    cell = TOL / 2 if tiny else 0.25
+    points = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                    min_size=count, max_size=count)), dtype=float) * cell
+    loose = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count))) | tiny
+    # the rows that are not loose are distinct grid points
+    _, first = np.unique(points, axis=0, return_index=True)
+    fixed = np.zeros(count, dtype=bool)
+    fixed[first] = True
+    loose |= ~fixed
+    for r in np.flatnonzero(loose & ~tiny):
+        points[r] += [draw(OFFSETS) for _ in range(n)]
+    rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    return points, rows, loose, draw(st.sampled_from([1, 2, 5, 1 << 17]))
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(dedupe_inputs())
+def test_dedupe_matches_greedy_loop(case):
+    points, rows, loose, batch = case
+    kept = []
+    for r in rows.tolist():
+        if not near_kept(points[r].tolist(), [points[k].tolist() for k in kept]):
+            kept.append(r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "BATCH", batch)
+        got = equilibrium._dedupe(points, rows, loose)
+    assert got.tolist() == kept
+
+
+def test_tiny_step_without_refine_dedupes_the_grid():
+    # grid levels 1e-6 apart, every one an equilibrium: the greedy keeps
+    # every other level, whatever the rounding of the levels
+    u = constant_market()
+    for box in ((1.0, 1.00001), (0.5, 0.50002)):
+        found = find_equilibria(u, box, 1e-6, refine=False)
+        want = record_list(u, box, 1e-6, False)
+        assert len(want) > 4 and found == want
 
 
 @pytest.mark.parametrize("name,u,box,step", RURAL_CASES,
