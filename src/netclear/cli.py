@@ -62,11 +62,13 @@ from .equilibrium import (
     rural_pairs,
 )
 from .errors import (
+    ExpressionSyntaxError,
     NetclearError,
     ScenarioParseError,
     ScenarioValidationError,
     SchemaVersionMismatch,
     UnknownFirm,
+    UnknownPriceSymbol,
 )
 from .mechanisms import SearchConfig, buyer_optimal_mechanism
 from .model import PriceVector, TradeNetwork, build_network, terminal_roles
@@ -129,6 +131,14 @@ def _names(x, where: str) -> list[str]:
     return x
 
 
+def _expr(text, where: str, **kwargs) -> ex.Expr:
+    """The expression of the JSON string at where; an error in it names where."""
+    try:
+        return ex.parse_expr(_json(text, str, where), **kwargs)
+    except (ExpressionSyntaxError, UnknownPriceSymbol) as e:
+        raise type(e)(f"{where}: {e}") from None
+
+
 def _table(entries, key: str, where: str, known=None, **kwargs) -> dict[frozenset, ex.Expr]:
     """The JSON array of ``{key: [names], "expr": text}`` entries at where,
     as a map from name sets to parsed expressions.  With ``known``, every
@@ -144,8 +154,7 @@ def _table(entries, key: str, where: str, known=None, **kwargs) -> dict[frozense
             _fail(f"{item}: missing 'expr'")
         if frozenset(names) in table:
             _fail(f"{item}.{key}: {sorted(names)} has an earlier entry")
-        table[frozenset(names)] = ex.parse_expr(_json(entry["expr"], str, f"{item}.expr"),
-                                                **kwargs)
+        table[frozenset(names)] = _expr(entry["expr"], f"{item}.expr", **kwargs)
     return table
 
 
@@ -246,8 +255,8 @@ def _load_matching(raw: dict, analysis: Analysis, path: str) -> Scenario:
         if not _finite(outside[d]):
             _fail(f"{where}.outside: not a finite number: {outside[d]!r}")
         offers = _json(spec.get("offers", {}), dict, f"{where}.offers")
-        doctors[d] = {h: ex.parse_expr(_json(text, str, f"{where}.offers[{h}]"),
-                                       allowed_trades=None, allow_vars=("t",))
+        doctors[d] = {h: _expr(text, f"{where}.offers[{h}]",
+                               allowed_trades=None, allow_vars=("t",))
                       for h, text in offers.items()}
     market = adapters.MatchingMarket(
         tuple(sorted(hospitals)), tuple(sorted(doctors)),
@@ -382,19 +391,19 @@ def cmd_check(sc: Scenario, args) -> RunResult:
     payload = {"firm": firm, "property": report.name,
                "variant": report.variant, "verdict": report.verdict,
                "pairs_tested": report.pairs_tested,
-               "violations": [
-                   {"p": list(v.p), "p2": list(v.p2),
-                    "bundle": _ids(sc.network, v.bundle), "detail": v.detail}
-                   for v in report.violations]}
+               "violations": jsonwriter.Rows(
+                   ("bundle", "detail", "p", "p2"),
+                   [(_ids(sc.network, v.bundle), v.detail, v.p, v.p2)
+                    for v in report.violations])}
     return RunResult(0 if report.ok else 2, "\n".join(lines) + "\n", payload)
 
 
-def _records_payload(sc: Scenario, records) -> list[dict]:
-    return [{"prices": list(rec.prices.values),
-             "supports": [_ids(sc.network, m) for m in rec.supports],
-             "net_indices": rec.net_indices,
-             "surplus": rec.surplus}
-            for rec in sorted(records, key=lambda r: r.prices.values)]
+def _records_payload(sc: Scenario, records) -> jsonwriter.Rows:
+    return jsonwriter.Rows(
+        ("net_indices", "prices", "supports", "surplus"),
+        [(rec.net_indices, list(rec.prices.values),
+          [_ids(sc.network, m) for m in rec.supports], rec.surplus)
+         for rec in sorted(records, key=lambda r: r.prices.values)])
 
 
 def _solve(sc: Scenario, args):
@@ -409,8 +418,8 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
     payload = {"equilibria": _records_payload(sc, records)}
     lines = [f"{len(records)} equilibria on grid "
              f"{list(sc.analysis.box)} step {sc.analysis.step}:"]
-    for entry in payload["equilibria"]:
-        lines.append(f"  p={entry['prices']} supports={entry['supports']}")
+    for _, prices, supports, _ in payload["equilibria"].rows:
+        lines.append(f"  p={prices} supports={supports}")
     csv_rows = None
     if getattr(args, "csv", False):
         # the scan above evaluated every firm on this grid, so no row can fail
@@ -424,42 +433,38 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
 
 def cmd_lattice(sc: Scenario, args) -> RunResult:
     records = _solve(sc, args)
-    pairs = []
-    lines = []
-    for e, e2, join, meet, join_eq, meet_eq in lattice_pairs(
-            sc.profile, records, sc.analysis.eps_eq, sc.analysis.eps_tie):
-        pairs.append({
-            "p": e.prices.values,
-            "p2": e2.prices.values,
-            "join": join,
-            "meet": meet,
-            "join_equilibrium": join_eq,
-            "meet_equilibrium": meet_eq,
-        })
-        if not (join_eq and meet_eq):
-            lines.append(
-                f"lattice failure: join {list(join)} equilibrium: "
-                f"{join_eq}, meet {list(meet)} equilibrium: {meet_eq}")
+    pairs = [(join, join_eq, meet, meet_eq, e.prices.values, e2.prices.values)
+             for e, e2, join, meet, join_eq, meet_eq in lattice_pairs(
+                 sc.profile, records, sc.analysis.eps_eq, sc.analysis.eps_tie)]
+    # id of a join or meet point, which lattice_pairs shares between the
+    # pairs it belongs to -> the point's text
+    shown: dict[int, str] = {}
+
+    def show(q: tuple[float, ...]) -> str:
+        return shown.get(id(q)) or shown.setdefault(id(q), str(list(q)))
+
+    lines = [f"lattice failure: join {show(join)} equilibrium: "
+             f"{join_eq}, meet {show(meet)} equilibrium: {meet_eq}"
+             for join, join_eq, meet, meet_eq, _, _ in pairs if not (join_eq and meet_eq)]
     head = (f"lattice check over {len(records)} equilibria: "
             f"{len(lines)} failing pair(s)")
+    payload = {"pairs": jsonwriter.Rows(
+        ("join", "join_equilibrium", "meet", "meet_equilibrium", "p", "p2"), pairs)}
     return RunResult(0 if not lines else 2,
-                     head + "\n" + "\n".join(lines) + "\n", {"pairs": pairs})
+                     head + "\n" + "\n".join(lines) + "\n", payload)
 
 
 def cmd_rural(sc: Scenario, args) -> RunResult:
     records = _solve(sc, args)
-    pairs = []
-    violations = 0
-    for e, e2, unmatched in rural_pairs(sc.profile, records, sc.analysis.eps_eq):
-        # an empty tuple, unlike a fresh empty list, leaves the entry untracked by gc
-        pairs.append({"p": e.prices.values,
-                      "p2": e2.prices.values,
-                      "unmatched": [_ids(sc.network, m) for m in unmatched]
-                      if unmatched else ()})
-        violations += bool(unmatched)
+    # an empty tuple, unlike a fresh empty list, leaves the row untracked by gc
+    pairs = [(e.prices.values, e2.prices.values,
+              [_ids(sc.network, m) for m in unmatched] if unmatched else ())
+             for e, e2, unmatched in rural_pairs(sc.profile, records, sc.analysis.eps_eq)]
+    violations = sum(bool(unmatched) for _, _, unmatched in pairs)
     head = (f"rural-hospitals check over {len(records)} equilibria: "
             f"{violations} failing pair(s)")
-    return RunResult(0 if violations == 0 else 2, head + "\n", {"pairs": pairs})
+    payload = {"pairs": jsonwriter.Rows(("p", "p2", "unmatched"), pairs)}
+    return RunResult(0 if violations == 0 else 2, head + "\n", payload)
 
 
 def cmd_extremal(sc: Scenario, args) -> RunResult:

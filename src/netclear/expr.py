@@ -12,6 +12,7 @@ Grammar (used by scenario files and by the builders in ``utility``):
               | "piecewise" "{" (guard ":" expr ";")* "else" ":" expr "}"
               | "(" expr ")"
     guard    := expr ("<=" | "<" | ">=" | ">") expr    (affine sides expected)
+    NUMBER   := digits, with an optional fraction and exponent: 2, .5, 1e-3, 2.5E+1
 
 Piecewise guards are evaluated in order; the first match wins and the
 ``else`` arm is mandatory, so every expression is total on finite prices.
@@ -263,7 +264,7 @@ def compile_expr(row: tuple[Expr, ...], index: Mapping[str, int]):
 # -- parser ------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|[-+*/^<>(){}\[\],:;]))")
 

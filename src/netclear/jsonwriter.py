@@ -17,12 +17,20 @@ id during the dump, and a key by value would not do (``[0.0]`` equals
 ``[-0.0]``, and ``[1]`` equals ``[1.0]`` and ``[True]``).  The text goes to
 fh in pieces, whenever the buffer fills and once more when the dump ends or
 fails, so memory does not grow with the report.
+
+A ``Rows`` table is a list of dicts that share one key set.  Its keys are
+sorted and encoded once per table, and its values are written as one
+stream of (lead, value) items, so no row builds a dict, sorts its keys or
+makes a call of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _encode
 
 INDENT = "  "
@@ -49,6 +57,25 @@ _SCALARS = {
 }
 
 
+@dataclass(frozen=True)
+class Rows:
+    """The list of dicts ``[dict(zip(keys, row)) for row in rows]``, given
+    as its distinct ``str`` keys and one tuple of values per row, in the
+    order of the keys."""
+
+    keys: tuple[str, ...]
+    rows: Sequence[tuple]
+
+    def __post_init__(self):
+        for k in self.keys:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+        if len(set(self.keys)) < len(self.keys):
+            raise ValueError(f"repeated key in {self.keys}")
+        if set(map(len, self.rows)) - {len(self.keys)}:
+            raise ValueError(f"a row without one value per key of {self.keys}")
+
+
 def dump(obj, fh) -> None:
     """Write obj, a payload of the types the module names, to the text file
     fh exactly as ``json.dump(obj, fh, indent=2, sort_keys=True)`` does."""
@@ -64,6 +91,37 @@ def dump(obj, fh) -> None:
     def flush():
         fh.write("".join(out))
         out.clear()
+
+    def head(k: str) -> str:
+        return heads.get(k) or heads.setdefault(k, _encode(k) + ": ")
+
+    def table(t: Rows, level: int):
+        """Append the text of t at indent level."""
+        if not t.rows:
+            append("[]")
+            return
+        if id(t) in opened:
+            raise ValueError("Circular reference detected")
+        opened.add(id(t))
+        inner = "\n" + INDENT * (level + 1)
+        close = "\n" + INDENT * level + "]"
+        order = sorted(range(len(t.keys)), key=t.keys.__getitem__)
+        if not order:
+            append("[" + inner + ("," + inner).join(["{}"] * len(t.rows)) + close)
+        else:
+            field = "\n" + INDENT * (level + 2)
+            # the leads of the first row's values, each a separator and a key head
+            first = [inner + "{" + field + head(t.keys[order[0]])]
+            first += ["," + field + head(t.keys[k]) for k in order[1:]]
+            # a later row's first lead also closes the row before it
+            later = [inner + "}," + first[0]] + first[1:]
+            rows = (t.rows if order == list(range(len(order)))
+                    else map(itemgetter(*order), t.rows))
+            append("[")
+            values(chain(first, chain.from_iterable(repeat(later))),
+                   chain.from_iterable(rows), level + 2)
+            append(inner + "}" + close)
+        opened.remove(id(t))
 
     def values(leads, objs, level: int):
         """Append each lead, then the text of its object at indent level."""
@@ -81,6 +139,9 @@ def dump(obj, fh) -> None:
                 continue
             append(lead)
             kind = type(o)
+            if kind is Rows:
+                table(o, level)
+                continue
             if kind is not dict and kind is not list and kind is not tuple:
                 raise TypeError(f"Object of type {o.__class__.__name__} "
                                 f"is not JSON serializable")
@@ -109,8 +170,7 @@ def dump(obj, fh) -> None:
                 for k in ordered:
                     if type(k) is not str:
                         raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-                    head = heads.get(k) or heads.setdefault(k, _encode(k) + ": ")
-                    inside.append(inner + head)
+                    inside.append(inner + head(k))
                     inner = sep
                 append("{")
                 values(inside, map(o.__getitem__, ordered), level + 1)

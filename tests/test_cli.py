@@ -250,6 +250,23 @@ def test_report_files_written(tmp_path, capsys):
     assert json.loads(js.read_text()) == payload
 
 
+def test_exponent_notation_solves_as_decimal_notation(tmp_path, capsys):
+    reports = []
+    for number in ("1e-3", "0.001"):
+        raw = edited(utilities={**ONE_TRADE["utilities"],
+                                "a": [{"bundle": [], "expr": "0"},
+                                      {"bundle": ["t"], "expr": f"p[t] - {number}"}]})
+        (tmp_path / number).mkdir()
+        path = tmp_path / number / "case.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / number / "out"
+        code = main(["solve", str(path), "--out", str(out)])
+        reports.append((code, capsys.readouterr(),
+                        [(out / f"case-solve.{ext}").read_bytes() for ext in ("txt", "json")]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and "equilibria" in reports[0][1].out
+
+
 def test_box_and_step_overrides(capsys):
     code = main(["solve", scenario("star.json"), "--box", "0", "2",
                  "--step", "0.5"])
@@ -431,6 +448,34 @@ MALFORMED = {
     "wrong-version": (edited(version=2), ["solve"], "case.json: expected version 1, got 2"),
     "analysis-a-list": (edited(analysis=[0.5]), ["solve"],
                         "case.json: analysis: not a JSON object"),
+    # an expression that does not parse names the file and the entry
+    "expr-syntax-error": (
+        edited(utilities={**ONE_TRADE["utilities"],
+                          "a": [{"bundle": [], "expr": "0"},
+                                {"bundle": ["t"], "expr": "p[t] * * 2"}]}),
+        ["solve"], "case.json: utilities[a][1].expr: unexpected token '*'"),
+    "expr-exponent-without-digits": (
+        edited(utilities={**ONE_TRADE["utilities"],
+                          "a": [{"bundle": [], "expr": "0"},
+                                {"bundle": ["t"], "expr": "p[t] - 1e"}]}),
+        ["solve"], "case.json: utilities[a][1].expr: trailing input at 'e'"),
+    "expr-unknown-trade": (
+        edited(utilities={**ONE_TRADE["utilities"], "b": [{"bundle": [], "expr": "p[zz]"}]}),
+        ["solve"], "case.json: utilities[b][0].expr: expression references trades "
+                   "outside its bundle: ['zz']"),
+    "hospital-expr-syntax-error": (
+        bundled("matching-small.json", hospitals={"h1": [{"doctors": ["d1"], "expr": "3 -"}]}),
+        ["solve"], "case.json: hospitals[h1][0].expr: unexpected token ''"),
+    "offer-syntax-error": (
+        bundled("matching-small.json", doctors={
+            **MATCHING["doctors"], "d1": {"outside": 0, "offers": {"h1": "1 + s"}}}),
+        ["solve"], "case.json: doctors[d1].offers[h1]: unknown identifier 's'"),
+    "agent-expr-syntax-error": (
+        bundled("exchange-small.json", agents={
+            **EXCHANGE["agents"],
+            "A": {**EXCHANGE["agents"]["A"],
+                  "utility": [{"objects": ["x"], "expr": "3 + t)"}]}}),
+        ["solve"], "case.json: agents[A].utility[0].expr: trailing input at ')'"),
     # with no firms there is no default --firm
     "no-trades-demand": (NO_TRADES, ["demand", "--prices", "1"],
                          "the scenario has no firms"),

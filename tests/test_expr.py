@@ -76,6 +76,17 @@ def test_parse_errors():
         parse_expr("p[a] @ 2")
 
 
+def test_numbers_take_exponent_notation():
+    for text, value in (("1e-3", 0.001), ("6e-8", 0.00000006), ("2.5E+1", 25.0),
+                        (".5e1", 5.0), ("3.e2", 300.0), ("2e0", 2.0)):
+        assert parse_expr(text) == Num(value)
+    assert parse_expr("p[t] - 1e-3") == parse_expr("p[t] - 0.001")
+    # an exponent needs digits: "1e" is the number 1 followed by a name
+    with pytest.raises(ExpressionSyntaxError, match="trailing input at 'e'"):
+        parse_expr("p[t] - 1e")
+    assert parse_expr("p[1e-3]") == Price("1e-3")
+
+
 def test_allowed_trades_enforced():
     with pytest.raises(UnknownPriceSymbol):
         parse_expr("p[zz]", allowed_trades=["a1"])

@@ -3,8 +3,9 @@ the bytes of ``json.dump(obj, fh, indent=2, sort_keys=True)`` for every
 payload of the commands' types (exact ``dict`` with ``str`` keys, ``list``,
 ``tuple``, ``str``, ``int``, ``float``, ``bool``, ``None``), raise the same
 error where both reject a value and leave the same partial text behind, and
-raise ``TypeError`` for any other type or key; every CLI report must equal
-``json.dump`` of its payload."""
+raise ``TypeError`` for any other type or key; a ``Rows`` table is written
+as its expanded list of dicts; every CLI report must equal ``json.dump`` of
+its payload."""
 
 import enum
 import io
@@ -26,10 +27,17 @@ class Level(enum.IntEnum):
     LOW = 1
 
 
+def expand(o):
+    """json's default hook: a Rows table as its list of dicts."""
+    if type(o) is jsonwriter.Rows:
+        return [dict(zip(o.keys, row)) for row in o.rows]
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def both(obj):
     """(text, error) from json.dump and from the writer."""
     results = []
-    for write in (lambda fh: json.dump(obj, fh, indent=2, sort_keys=True),
+    for write in (lambda fh: json.dump(obj, fh, indent=2, sort_keys=True, default=expand),
                   lambda fh: jsonwriter.dump(obj, fh)):
         fh = io.StringIO()
         try:
@@ -83,6 +91,30 @@ def shared_payloads(draw):
             "e": [[shared, [shared]], inner]}
 
 
+@st.composite
+def tables(draw, children):
+    """A Rows table over children, its keys in any order."""
+    keys = draw(st.lists(st.text(max_size=4), unique=True, max_size=4))
+    rows = draw(st.lists(st.tuples(*[children] * len(keys)), max_size=5))
+    return jsonwriter.Rows(tuple(keys), rows)
+
+
+table_payloads = st.recursive(scalars, lambda children: st.one_of(
+    containers(children), tables(children)), max_leaves=40)
+
+
+@st.composite
+def shared_tables(draw):
+    """Tables whose rows share one tuple, which also sits at other depths."""
+    shared = tuple(draw(st.lists(scalars, min_size=1, max_size=4)))
+    inner = draw(table_payloads)
+    rows = jsonwriter.Rows(("z", "a", "m"), [(shared, inner, [shared]),
+                                             (shared, shared, {"d": shared}),
+                                             (inner, shared, shared)])
+    return {"a": shared, "t": rows,
+            "n": [jsonwriter.Rows(("x",), [(shared,), (rows,)]), (shared, rows)]}
+
+
 @seed(20261018)
 @settings(max_examples=300, deadline=None, database=None)
 @given(payloads)
@@ -105,6 +137,53 @@ def test_writer_fails_like_json_dump(items, mapping):
     assert_same(items)
     assert_same(mapping)
     assert_same({"x": items, "y": mapping})
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(table_payloads)
+def test_writer_matches_json_dump_on_tables(obj):
+    assert_same(obj)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(shared_tables())
+def test_writer_matches_json_dump_on_shared_table_values(obj):
+    assert_same(obj)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(*[st.one_of(table_payloads, unserializable)] * 3),
+                min_size=1, max_size=4))
+def test_writer_fails_like_json_dump_in_tables(rows):
+    assert_same(jsonwriter.Rows(("c", "a", "b"), rows))
+    assert_same({"x": [jsonwriter.Rows(("a", "b", "c"), rows)]})
+
+
+def test_tables_of_edge_shapes():
+    point = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-05, 1e16)
+    for obj in (jsonwriter.Rows((), []), jsonwriter.Rows(("b", "a"), []),
+                jsonwriter.Rows((), [(), ()]), [jsonwriter.Rows(("a",), [(point,)])],
+                jsonwriter.Rows(("p", "q"), [(point, [point, (point,)])] * 3),
+                {"t": jsonwriter.Rows(("é", "", "a b"), [([], {}, ())])}):
+        text, error = assert_same(obj)
+        assert error is None
+    bad = jsonwriter.Rows(("b", "a"), [(1, 2), (np.int64(3), 4)])
+    (text, error), _ = both({"t": bad})
+    assert error == (TypeError, "Object of type int64 is not JSON serializable")
+    assert text.endswith('"b": ')
+    assert_same({"t": bad})
+
+
+def test_tables_take_distinct_str_keys_and_one_value_per_key():
+    with pytest.raises(TypeError, match=r"\bint\b"):
+        jsonwriter.Rows((1,), [])
+    with pytest.raises(ValueError, match="repeated key"):
+        jsonwriter.Rows(("a", "a"), [])
+    with pytest.raises(ValueError, match="one value per key"):
+        jsonwriter.Rows(("a", "b"), [(1, 2), (3,)])
 
 
 def test_signed_zeros_and_equal_numbers_keep_their_text():
@@ -152,7 +231,9 @@ def test_circular_references_raise_like_json():
     loop.append(loop)
     cycle: dict = {"a": 1}
     cycle["b"] = [cycle]
-    for obj in (loop, cycle):
+    table = jsonwriter.Rows(("a",), [])
+    table.rows.append((table,))
+    for obj in (loop, cycle, table):
         (text, error), _ = both(obj)
         assert error == (ValueError, "Circular reference detected")
         assert_same(obj)
@@ -217,6 +298,6 @@ def test_cli_reports_equal_json_dump(name, argv, tmp_path):
     written = emit_report(result, str(tmp_path), stem)
     assert str(tmp_path / f"{stem}.json") in written
     oracle = io.StringIO()
-    json.dump(result.payload, oracle, indent=2, sort_keys=True)
+    json.dump(result.payload, oracle, indent=2, sort_keys=True, default=expand)
     oracle.write("\n")
     assert (tmp_path / f"{stem}.json").read_bytes() == oracle.getvalue().encode("utf-8")

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from netclear import equilibrium, expr as ex, mechanisms
+from netclear import cli, equilibrium, expr as ex, mechanisms
 from netclear.cli import load_scenario, main
 from netclear.demand import EPS_TIE, demand_set, indirect_utility
 from netclear.equilibrium import (
@@ -426,6 +426,56 @@ def test_lattice_report_matches_per_pair_loop(scenario, tmp_path, capsys):
     failing = sum(1 for entry in expected
                   if not (entry["join_equilibrium"] and entry["meet_equilibrium"]))
     assert code == (0 if failing == 0 else 2)
+
+
+def lattice_text(sc, records):
+    """The lattice report as the per-pair loop wrote it: one f-string with
+    two fresh lists per failing pair."""
+    lines = []
+    for e, e2, join, meet, join_eq, meet_eq in lattice_pairs(
+            sc.profile, records, sc.analysis.eps_eq, sc.analysis.eps_tie):
+        if not (join_eq and meet_eq):
+            lines.append(f"lattice failure: join {list(join)} equilibrium: "
+                         f"{join_eq}, meet {list(meet)} equilibrium: {meet_eq}")
+    return (f"lattice check over {len(records)} equilibria: "
+            f"{len(lines)} failing pair(s)\n" + "\n".join(lines) + "\n")
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first line where they differ: a
+    report this long is too slow for pytest's own diff."""
+    lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+    return next(((k, a, b) for k, (a, b) in enumerate(lines) if a != b), None)
+
+
+BUNDLED = sorted(name[:-5] for name in os.listdir(SCENARIOS) if name.endswith(".json"))
+
+
+@pytest.mark.parametrize("scenario", BUNDLED + ["tied-edge-floats"])
+def test_lattice_text_matches_per_pair_formatting(scenario, tmp_path, capsys, monkeypatch):
+    if scenario == "tied-edge-floats":
+        path = tied_scenario(tmp_path)
+        sc = load_scenario(path)
+        base = find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step)[0]
+        levels = (-0.0, 0.0, 1e-05, 1e16, 1.0)
+        records = [dataclasses.replace(base, prices=PriceVector(sc.network, values))
+                   for values in list(itertools.product(levels, repeat=4))[::37]]
+        monkeypatch.setattr(cli, "_solve", lambda sc, args: records)
+    else:
+        path = os.path.join(SCENARIOS, f"{scenario}.json")
+        sc = load_scenario(path)
+        records = find_equilibria(sc.profile, sc.analysis.box, sc.analysis.step,
+                                  eps_eq=sc.analysis.eps_eq, eps_tie=sc.analysis.eps_tie)
+    out = tmp_path / "out"
+    code = main(["lattice", path, "--out", str(out)])
+    want = lattice_text(sc, records)
+    assert first_difference(capsys.readouterr().out, want) is None
+    stem = os.path.splitext(os.path.basename(path))[0]
+    assert first_difference((out / f"{stem}-lattice.txt").read_text(encoding="utf-8"),
+                            want) is None
+    assert code == (2 if "lattice failure" in want else 0)
+    if scenario == "tied-edge-floats":
+        assert all(text in want for text in ("-0.0", " 0.0", "1e-05", "1e+16"))
 
 
 def test_lattice_pairs_carry_their_records():
