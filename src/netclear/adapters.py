@@ -61,7 +61,7 @@ def induce_from_matching(m: MatchingMarket) -> tuple[TradeNetwork, UtilityProfil
         for doctors, expr_ in m.hospital_tables[h].items():
             mask = network.mask_of([matching_trade_id(h, d) for d in doctors])
             # salary symbol p[d] becomes -price of the (h, d) trade
-            subs = {d: ex.Unary("neg", ex.Price(matching_trade_id(h, d)))
+            subs = {d: ex.Op("neg", (ex.Price(matching_trade_id(h, d)),))
                     for d in doctors}
             table[mask] = ex.substitute(expr_, prices=subs)
         firms[h] = FirmUtility(h, network, table)
@@ -71,7 +71,7 @@ def induce_from_matching(m: MatchingMarket) -> tuple[TradeNetwork, UtilityProfil
             tid = matching_trade_id(h, d)
             # salary t becomes -price of the trade
             exprs[tid] = ex.substitute(
-                expr_, variables={"t": ex.Unary("neg", ex.Price(tid))})
+                expr_, variables={"t": ex.Op("neg", (ex.Price(tid),))})
         firms[d] = make_unit_demand(d, network, exprs,
                                     outside=float(m.outside.get(d, 0.0)))
     return network, UtilityProfile(network, firms)
@@ -171,13 +171,13 @@ def _exchange_utility(e: ExchangeEconomy, network: TradeNetwork,
         transfer: ex.Expr = ex.num(0.0)
         correction: ex.Expr = ex.num(0.0)
         for tid in sale_ids:
-            transfer = ex.add(transfer, ex.NAry("max", (ex.Price(tid), ex.num(0.0))))
+            transfer = ex.add(transfer, ex.Op("max", (ex.Price(tid), ex.num(0.0))))
             correction = ex.add(correction,
-                                ex.NAry("min", (ex.Price(tid), ex.num(0.0))))
+                                ex.Op("min", (ex.Price(tid), ex.num(0.0))))
         for tid in buy_ids:
-            transfer = ex.sub(transfer, ex.NAry("max", (ex.Price(tid), ex.num(0.0))))
+            transfer = ex.sub(transfer, ex.Op("max", (ex.Price(tid), ex.num(0.0))))
             correction = ex.sub(correction,
-                                ex.NAry("min", (ex.Price(tid), ex.num(0.0))))
+                                ex.Op("min", (ex.Price(tid), ex.num(0.0))))
         body = ex.substitute(e.tables[f][final], variables={"t": transfer})
         table[mask] = ex.add(body, correction)
     return FirmUtility(f, network, table)

@@ -177,7 +177,7 @@ def _analysis(a, path: str) -> Analysis:
                   f"number: {x!r}")
     if values["step"] <= 0:
         _fail(f"{path}: analysis.step: not positive: {values['step']!r}")
-    for key in ("eps_tie", "eps_eq"):
+    for key in ("eps_tie", "eps_eq", "seed"):
         if values[key] < 0:
             _fail(f"{path}: analysis.{key}: negative: {values[key]!r}")
     return Analysis(tuple(box), float(values["step"]), float(values["eps_tie"]),
@@ -203,7 +203,7 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):
         _fail(f"{path}: the scenario is not a JSON object")
-    if raw.get("version") != SCHEMA_VERSION:
+    if type(raw.get("version")) is not int or raw["version"] != SCHEMA_VERSION:
         raise SchemaVersionMismatch(
             f"{path}: expected version {SCHEMA_VERSION}, got {raw.get('version')!r}")
     kind = raw.get("kind", "network")
@@ -604,7 +604,11 @@ def main(argv=None) -> int:
         return 1
     sys.stdout.write(result.text)
     stem = f"{os.path.splitext(os.path.basename(args.scenario))[0]}-{args.cmd}"
-    emit_report(result, args.out, stem)
+    try:
+        emit_report(result, args.out, stem)
+    except OSError as e:
+        print(f"error: --out {args.out}: {e.strerror or e}", file=sys.stderr)
+        return 1
     return result.exit_code
 
 

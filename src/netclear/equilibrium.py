@@ -735,14 +735,26 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     go through one kernel call.
     """
     _check_inputs(records, eps_eq)
-    n = u.network.n
     prices = np.array([rec.prices.values for rec in records],
-                      dtype=float).reshape(len(records), n)
-    i, j = np.triu_indices(len(records), 1)
+                      dtype=float).reshape(len(records), u.network.n)
+    points, point = _join_meet_points(prices)
+    _z, fit, _ = _compiled(u).evaluate(points, _support_tie(eps_eq, eps_tie))
+    ok = fit.any(1).tolist()
+    shared = list(map(tuple, points.tolist()))
+    return [(e, e2, shared[a], shared[b], ok[a], ok[b])
+            for (e, e2), a, b in zip(itertools.combinations(records, 2),
+                                     point[0::2].tolist(), point[1::2].tolist())]
+
+
+def _join_meet_points(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct join and meet points of every pair of rows i < j of
+    ``prices``, and the index among them of each pair's join and meet, in
+    the order join_0, meet_0, join_1, meet_1, ...  The pair arrays are
+    freed on return, before the caller builds its Python result."""
+    i, j = np.triu_indices(len(prices), 1)
     p, q = prices[i], prices[j]
-    # rows join_0, meet_0, join_1, meet_1, ...
     both = np.stack([np.where(q > p, q, p), np.where(q < p, q, p)], 1)
-    both = both.reshape(2 * len(i), n)
+    both = both.reshape(2 * len(i), prices.shape[1])
     # sort the rows by bit pattern, so that equal points are adjacent (the
     # constant first key keeps the sort defined when there are no trades)
     bits = both.view(np.int64)
@@ -752,13 +764,7 @@ def lattice_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],
     new[1:] = (ranked[1:] != ranked[:-1]).any(1)
     point = np.empty_like(order)
     point[order] = np.cumsum(new) - 1
-    points = both[order[new]]
-    _z, fit, _ = _compiled(u).evaluate(points, _support_tie(eps_eq, eps_tie))
-    ok = fit.any(1).tolist()
-    shared = list(map(tuple, points.tolist()))
-    return [(e, e2, shared[a], shared[b], ok[a], ok[b])
-            for (e, e2), (a, b) in zip(itertools.combinations(records, 2),
-                                       point.reshape(-1, 2).tolist())]
+    return both[order[new]], point
 
 
 def rural_pairs(u: UtilityProfile, records: Sequence[EquilibriumRecord],

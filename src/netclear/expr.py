@@ -17,6 +17,10 @@ Grammar (used by scenario files and by the builders in ``utility``):
 Piecewise guards are evaluated in order; the first match wins and the
 ``else`` arm is mandatory, so every expression is total on finite prices.
 
+A tree has five kinds of node: the leaves ``Num``, ``Price`` and ``Var``,
+``Op`` (an operator and its operands; guards are ``Op`` comparisons) and
+``Piecewise``.  Each operator has one entry in two tables: ``_PYTHON``, the
+function ``eval_expr`` applies, and ``_NUMPY``, the text ``to_source`` emits.
 A row of expressions compiles to one NumPy closure over price columns
 (one array per trade), or over one NumPy scalar per trade for one point.
 """
@@ -24,6 +28,7 @@ A row of expressions compiles to one NumPy closure over price columns
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -55,34 +60,17 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Unary(Expr):
-    op: str  # "neg", "exp", "sqrt"
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Binary(Expr):
-    op: str  # "+", "-", "*", "/", "^"
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class NAry(Expr):
-    op: str  # "min", "max"
+class Op(Expr):
+    """An operator applied to its operands: one for "neg", "exp" and "sqrt",
+    two for "+", "-", "*", "/", "^" and the comparisons "<=", "<", ">=", ">",
+    and two or more for "min" and "max"."""
+    op: str
     args: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
-class Cmp(Expr):
-    op: str  # "<=", "<", ">=", ">"
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
 class Piecewise(Expr):
-    cases: tuple[tuple[Cmp, Expr], ...]
+    cases: tuple[tuple[Op, Expr], ...]  # (comparison, value)
     otherwise: Expr
 
 
@@ -91,11 +79,11 @@ def num(x: float) -> Num:
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    return Binary("+", a, b)
+    return Op("+", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return Binary("-", a, b)
+    return Op("-", (a, b))
 
 
 # -- traversals --------------------------------------------------------------
@@ -106,12 +94,7 @@ def price_refs(e: Expr) -> frozenset[str]:
     def walk(node: Expr):
         if isinstance(node, Price):
             out.add(node.trade)
-        elif isinstance(node, (Unary,)):
-            walk(node.arg)
-        elif isinstance(node, (Binary, Cmp)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, NAry):
+        elif isinstance(node, Op):
             for a in node.args:
                 walk(a)
         elif isinstance(node, Piecewise):
@@ -132,80 +115,67 @@ def substitute(e: Expr, prices: Mapping[str, float | Expr] | None = None,
     variables = variables or {}
 
     def walk(node: Expr) -> Expr:
-        if isinstance(node, Price):
-            if node.trade in prices:
-                new = prices[node.trade]
-                return new if isinstance(new, Expr) else Num(float(new))
-            return node
-        if isinstance(node, Var):
-            return variables.get(node.name, node)
-        if isinstance(node, Num):
-            return node
-        if isinstance(node, Unary):
-            return Unary(node.op, walk(node.arg))
-        if isinstance(node, Binary):
-            return Binary(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Cmp):
-            return Cmp(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, NAry):
-            return NAry(node.op, tuple(walk(a) for a in node.args))
+        if isinstance(node, Op):
+            return Op(node.op, tuple(map(walk, node.args)))
         if isinstance(node, Piecewise):
             return Piecewise(
                 tuple((walk(g), walk(v)) for g, v in node.cases),
                 walk(node.otherwise))
-        raise TypeError(node)
+        if isinstance(node, Price) and node.trade in prices:
+            new = prices[node.trade]
+            return new if isinstance(new, Expr) else Num(float(new))
+        if isinstance(node, Var):
+            return variables.get(node.name, node)
+        return node  # a number, or a price not replaced
 
     return walk(e)
 
 
 # -- evaluation / compilation ------------------------------------------------
 
+# Each operator twice: as the Python function the interpreter applies, and
+# as the NumPy text the compiler emits ("min" and "max" fold left).
+_PYTHON = {
+    "neg": operator.neg, "exp": math.exp, "sqrt": math.sqrt,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": operator.pow, "min": min, "max": max,
+    "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+}
+
+# NumPy text: (head, separator, tail) around the operands
+_NUMPY = {
+    "neg": ("(-", "", ")"), "exp": ("np.exp(", "", ")"),
+    "sqrt": ("np.sqrt(", "", ")"), "^": ("np.power(", ", ", ")"),
+    "min": ("np.minimum(", ", ", ")"), "max": ("np.maximum(", ", ", ")"),
+    **{op: ("(", f" {op} ", ")")
+       for op in ("+", "-", "*", "/", "<=", "<", ">=", ">")},
+}
+
+
 def eval_expr(e: Expr, prices: Mapping[str, float],
               variables: Mapping[str, float] | None = None) -> float:
     variables = variables or {}
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Price):
-        try:
-            return float(prices[e.trade])
-        except KeyError:
-            raise UnknownPriceSymbol(e.trade) from None
-    if isinstance(e, Var):
-        return float(variables[e.name])
-    if isinstance(e, Unary):
-        v = eval_expr(e.arg, prices, variables)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            return math.exp(v)
-        if e.op == "sqrt":
-            return math.sqrt(v)
-    if isinstance(e, Binary):
-        a = eval_expr(e.left, prices, variables)
-        b = eval_expr(e.right, prices, variables)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        if e.op == "^":
-            return a ** b
-    if isinstance(e, NAry):
-        vals = [eval_expr(a, prices, variables) for a in e.args]
-        return min(vals) if e.op == "min" else max(vals)
-    if isinstance(e, Cmp):
-        a = eval_expr(e.left, prices, variables)
-        b = eval_expr(e.right, prices, variables)
-        return {"<=": a <= b, "<": a < b, ">=": a >= b, ">": a > b}[e.op]
-    if isinstance(e, Piecewise):
-        for guard, val in e.cases:
-            if eval_expr(guard, prices, variables):
-                return eval_expr(val, prices, variables)
-        return eval_expr(e.otherwise, prices, variables)
-    raise TypeError(f"cannot evaluate {e!r}")
+
+    def value(node: Expr) -> float:
+        if isinstance(node, Op):
+            return _PYTHON[node.op](*map(value, node.args))
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Price):
+            try:
+                return float(prices[node.trade])
+            except KeyError:
+                raise UnknownPriceSymbol(node.trade) from None
+        if isinstance(node, Var):
+            return float(variables[node.name])
+        if isinstance(node, Piecewise):
+            for guard, val in node.cases:
+                if value(guard):
+                    return value(val)
+            return value(node.otherwise)
+        raise TypeError(f"cannot evaluate {node!r}")
+
+    return value(e)
 
 
 def to_source(e: Expr, index: Mapping[str, int]) -> str:
@@ -215,6 +185,15 @@ def to_source(e: Expr, index: Mapping[str, int]) -> str:
     runs the array loop, so a point gives the bits of its column row."""
 
     def emit(node: Expr) -> str:
+        if isinstance(node, Op):
+            head, sep, tail = _NUMPY[node.op]
+            args = node.args
+            if len(args) == 1:
+                return f"{head}{emit(args[0])}{tail}"
+            out = f"{head}{emit(args[0])}{sep}{emit(args[1])}{tail}"
+            for b in args[2:]:  # min and max fold left
+                out = f"{head}{out}{sep}{emit(b)}{tail}"
+            return out
         if isinstance(node, Num):
             return repr(node.value)
         if isinstance(node, Price):
@@ -225,24 +204,6 @@ def to_source(e: Expr, index: Mapping[str, int]) -> str:
         if isinstance(node, Var):
             raise UnknownPriceSymbol(
                 f"free variable {node.name!r} in compiled expression")
-        if isinstance(node, Unary):
-            a = emit(node.arg)
-            if node.op == "neg":
-                return f"(-{a})"
-            return f"np.{node.op}({a})"
-        if isinstance(node, Binary):
-            a, b = emit(node.left), emit(node.right)
-            if node.op == "^":
-                return f"np.power({a}, {b})"
-            return f"({a} {node.op} {b})"
-        if isinstance(node, NAry):
-            fn = "np.minimum" if node.op == "min" else "np.maximum"
-            out = emit(node.args[0])
-            for a in node.args[1:]:
-                out = f"{fn}({out}, {emit(a)})"
-            return out
-        if isinstance(node, Cmp):
-            return f"({emit(node.left)} {node.op} {emit(node.right)})"
         if isinstance(node, Piecewise):
             out = emit(node.otherwise)
             for guard, val in reversed(node.cases):
@@ -268,8 +229,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|[-+*/^<>(){}\[\],:;]))")
 
-_KEYWORDS = {"exp", "sqrt", "min", "max", "piecewise", "else", "p"}
-
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
@@ -282,12 +241,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                     f"unexpected character {text[pos:].strip()[0]!r} at {pos}")
             break
         pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     tokens.append(("end", ""))
     return tokens
 
@@ -322,35 +276,35 @@ class _Parser:
         e = self.term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.next()
-            e = Binary(op, e, self.term())
+            e = Op(op, (e, self.term()))
         return e
 
     def term(self) -> Expr:
         e = self.unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.next()
-            e = Binary(op, e, self.unary())
+            e = Op(op, (e, self.unary()))
         return e
 
     def unary(self) -> Expr:
         if self.peek() == ("op", "-"):
             self.next()
-            return Unary("neg", self.unary())
+            return Op("neg", (self.unary(),))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.next()
-            return Binary("^", base, self.unary())
+            return Op("^", (base, self.unary()))
         return base
 
-    def guard(self) -> Cmp:
+    def guard(self) -> Op:
         left = self.expr()
         kind, op = self.next()
         if op not in ("<=", "<", ">=", ">"):
             raise ExpressionSyntaxError(f"expected comparison, got {op!r}")
-        return Cmp(op, left, self.expr())
+        return Op(op, (left, self.expr()))
 
     def atom(self) -> Expr:
         kind, val = self.next()
@@ -375,7 +329,7 @@ class _Parser:
                 self.expect("(")
                 e = self.expr()
                 self.expect(")")
-                return Unary(val, e)
+                return Op(val, (e,))
             if val in ("min", "max"):
                 self.expect("(")
                 args = [self.expr()]
@@ -383,7 +337,7 @@ class _Parser:
                     self.next()
                     args.append(self.expr())
                 self.expect(")")
-                return NAry(val, tuple(args))
+                return args[0] if len(args) == 1 else Op(val, tuple(args))
             if val == "piecewise":
                 return self.piecewise()
             if val in self.allow_vars:
@@ -394,23 +348,17 @@ class _Parser:
     def piecewise(self) -> Expr:
         self.expect("{")
         cases = []
-        otherwise = None
-        while True:
-            if self.peek() == ("name", "else"):
-                self.next()
-                self.expect(":")
-                otherwise = self.expr()
-                break
+        while self.peek() != ("name", "else"):
             guard = self.guard()
             self.expect(":")
-            value = self.expr()
-            cases.append((guard, value))
+            cases.append((guard, self.expr()))
             self.expect(";")
+        self.next()
+        self.expect(":")
+        otherwise = self.expr()
         if self.peek() == ("op", ";"):
             self.next()
         self.expect("}")
-        if otherwise is None:
-            raise ExpressionSyntaxError("piecewise requires an else arm")
         return Piecewise(tuple(cases), otherwise)
 
 

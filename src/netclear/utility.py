@@ -280,7 +280,7 @@ def endowment_transform(u: FirmUtility, endowed: int,
                 break
             sub = (sub - 1) & remaining
         if arms:
-            table[b] = arms[0] if len(arms) == 1 else ex.NAry("max", tuple(arms))
+            table[b] = arms[0] if len(arms) == 1 else ex.Op("max", tuple(arms))
     return FirmUtility(u.firm, u.network, table)
 
 

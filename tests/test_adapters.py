@@ -17,7 +17,7 @@ from netclear.adapters import (
 from netclear.equilibrium import find_equilibria, is_equilibrium
 from netclear.errors import NotInducedNetwork, ScenarioValidationError
 from netclear.cli import load_scenario
-from netclear.expr import Binary, Num, Price, Unary, parse_expr
+from netclear.expr import Num, Op, Price, parse_expr
 from netclear.model import PriceVector
 from netclear.utility import INFEASIBLE, is_unit_demand
 
@@ -66,18 +66,18 @@ def test_matching_small_tables():
     net, firms = sc.network, sc.profile.firms
 
     def salary(d):
-        return Unary("neg", Price(f"h1:{d}"))
+        return Op("neg", (Price(f"h1:{d}"),))
 
     # each salary p[d] becomes the negated price of its (h1, d) trade
     assert firms["h1"].table == {
         0: Num(0.0),
-        net.mask_of(["h1:d1"]): Binary("-", Num(3.0), salary("d1")),
-        net.mask_of(["h1:d2"]): Binary("-", Num(2.0), salary("d2")),
+        net.mask_of(["h1:d1"]): Op("-", (Num(3.0), salary("d1"))),
+        net.mask_of(["h1:d2"]): Op("-", (Num(2.0), salary("d2"))),
         net.mask_of(["h1:d1", "h1:d2"]):
-            Binary("-", Binary("-", Num(4.0), salary("d1")), salary("d2")),
+            Op("-", (Op("-", (Num(4.0), salary("d1"))), salary("d2"))),
     }
     assert firms["d1"].table[net.mask_of(["h1:d1"])] == \
-        Binary("+", Num(1.0), salary("d1"))
+        Op("+", (Num(1.0), salary("d1")))
     assert firms["d2"].table[net.mask_of(["h1:d2"])] == salary("d2")
 
 

@@ -250,6 +250,15 @@ def test_report_files_written(tmp_path, capsys):
     assert json.loads(js.read_text()) == payload
 
 
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["solve", scenario("kinked-pair.json"), "--out", str(taken)])
+    out, err = capsys.readouterr()
+    assert code == 1 and "equilibria" in out
+    assert err == f"error: --out {taken}: File exists\n"
+
+
 def test_exponent_notation_solves_as_decimal_notation(tmp_path, capsys):
     reports = []
     for number in ("1e-3", "0.001"):
@@ -338,6 +347,16 @@ MALFORMED = {
                         "analysis.eps_eq: negative: -1"),
     "seed-not-an-integer": (edited(analysis={"seed": 1.5}), ["solve"],
                             "analysis.seed: not a whole number: 1.5"),
+    # NumPy's default_rng takes no negative seed
+    "seed-negative": (
+        bundled("kinked-pair.json", analysis={**KINKED["analysis"], "seed": -1}),
+        ["check", "--property", "sss"], "case.json: analysis.seed: negative: -1"),
+    "nib-seed-negative": (
+        bundled("kinked-pair.json", analysis={**KINKED["analysis"], "seed": -1}),
+        ["check", "--property", "nib"], "case.json: analysis.seed: negative: -1"),
+    # True == 1 and 1.0 == 1 in Python, but neither is schema version 1
+    "version-true": (edited(version=True), ["solve"], "expected version 1, got True"),
+    "version-float": (edited(version=1.0), ["solve"], "expected version 1, got 1.0"),
     "box-with-infinity": (edited(analysis={"box": [0, float("inf")]}), ["solve"],
                           "analysis.box: not two numbers"),
     "box-of-one": (edited(analysis={"box": [1]}), ["solve"],

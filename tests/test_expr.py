@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netclear.errors import ExpressionSyntaxError, UnknownPriceSymbol
+from netclear import expr
 from netclear.expr import (
     Num,
+    Op,
     Price,
-    Unary,
     Var,
     compile_expr,
     eval_expr,
     parse_expr,
     price_refs,
     substitute,
+    to_source,
 )
 
 TRIPLE_PIECEWISE = (
@@ -109,10 +111,10 @@ def test_substitute_prices_and_vars():
     e = parse_expr("p[a1] + t", allow_vars=("t",))
     pinned = substitute(e, prices={"a1": 2.0})
     assert eval_expr(pinned, {}, variables={"t": 1.0}) == 3.0
-    swapped = substitute(e, variables={"t": Unary("neg", Price("a1"))})
+    swapped = substitute(e, variables={"t": Op("neg", (Price("a1"),))})
     assert eval_expr(swapped, {"a1": 5.0}) == 0.0
     # a price replaced by a sub-tree is not walked again
-    renamed = substitute(e, prices={"a1": Unary("neg", Price("a1"))})
+    renamed = substitute(e, prices={"a1": Op("neg", (Price("a1"),))})
     assert renamed == substitute(parse_expr("-p[a1] + t", allow_vars=("t",)))
     assert eval_expr(renamed, {"a1": 5.0}, variables={"t": 1.0}) == -4.0
 
@@ -170,3 +172,59 @@ def test_eval_unknown_price_symbol():
 def test_exp_matches_math():
     e = parse_expr("exp(p[a])")
     assert eval_expr(e, {"a": 1.3}) == math.exp(1.3)
+
+
+def test_to_source_text_per_operator():
+    index = {"a": 0, "b": 1}
+    for text, source in (
+        ("-p[a]", "(-p[0])"),
+        ("exp(p[a])", "np.exp(p[0])"),
+        ("sqrt(p[a])", "np.sqrt(p[0])"),
+        ("p[a] + p[b] - 2 * p[a] / 3",
+         "((p[0] + p[1]) - ((2.0 * p[0]) / 3.0))"),
+        ("p[a] ^ 2", "np.power(p[0], 2.0)"),
+        ("min(p[a], p[b], 1)", "np.minimum(np.minimum(p[0], p[1]), 1.0)"),
+        ("max(p[a], p[b], 1)", "np.maximum(np.maximum(p[0], p[1]), 1.0)"),
+        ("piecewise{ p[a] <= 1 : 1; p[b] < 2 : 2; else : 3 }",
+         "np.where((p[0] <= 1.0), 1.0, np.where((p[1] < 2.0), 2.0, 3.0))"),
+        ("piecewise{ p[a] >= 1 : 1; p[b] > 2 : 2; else : 3 }",
+         "np.where((p[0] >= 1.0), 1.0, np.where((p[1] > 2.0), 2.0, 3.0))"),
+    ):
+        assert to_source(parse_expr(text), index) == source
+
+
+# (text, {p[a]: value}) per operator, at points where another operator's
+# entry, or swapped operands, would give another value: comparisons at
+# equality and on both sides of it
+OPERATOR_CASES = {
+    "neg": ("-p[a]", {2.0: -2.0}),
+    "exp": ("exp(p[a])", {1.0: math.e}),
+    "sqrt": ("sqrt(p[a])", {4.0: 2.0}),
+    "+": ("p[a] + 3", {2.0: 5.0}),
+    "-": ("p[a] - 3", {2.0: -1.0}),
+    "*": ("p[a] * 3", {2.0: 6.0}),
+    "/": ("p[a] / 4", {2.0: 0.5}),
+    "^": ("p[a] ^ 3", {2.0: 8.0}),
+    "min": ("min(p[a], 3, 1)", {2.0: 1.0}),
+    "max": ("max(p[a], 3, 1)", {2.0: 3.0}),
+    "<=": ("piecewise{ p[a] <= 1 : 1; else : 2 }", {0.0: 1.0, 1.0: 1.0, 2.0: 2.0}),
+    "<": ("piecewise{ p[a] < 1 : 1; else : 2 }", {0.0: 1.0, 1.0: 2.0, 2.0: 2.0}),
+    ">=": ("piecewise{ p[a] >= 1 : 1; else : 2 }", {0.0: 2.0, 1.0: 1.0, 2.0: 1.0}),
+    ">": ("piecewise{ p[a] > 1 : 1; else : 2 }", {0.0: 2.0, 1.0: 2.0, 2.0: 1.0}),
+}
+
+
+def test_operator_cases_cover_both_tables():
+    assert set(OPERATOR_CASES) == set(expr._PYTHON) == set(expr._NUMPY)
+
+
+@pytest.mark.parametrize("op", OPERATOR_CASES)
+def test_interpreter_and_compiled_row_agree_per_operator(op):
+    text, values = OPERATOR_CASES[op]
+    e = parse_expr(text)
+    row = compile_expr((e,), {"a": 0})
+    for price, value in values.items():
+        assert eval_expr(e, {"a": price}) == value
+        (point,) = row(np.array([price]))
+        (column,) = row([np.array([price, price])])
+        assert float(point) == value and column.tolist() == [value, value]
