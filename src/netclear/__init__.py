@@ -18,7 +18,6 @@ from .utility import (
     endowment_transform,
     make_quasilinear,
     make_unit_demand,
-    truncate_at_outside,
 )
 from .expr import parse_expr
 from .demand import (

@@ -18,11 +18,12 @@ holding on all of price space:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import expr as ex
-from .errors import NotInducedNetwork, ScenarioValidationError
+from .errors import NonFiniteUtility, NotInducedNetwork, ScenarioValidationError
 from .model import PriceVector, TradeNetwork, build_network
 from .utility import FirmUtility, UtilityProfile, make_unit_demand
 
@@ -220,6 +221,7 @@ def economy_demand(e: ExchangeEconomy, f: str,
     receipts for objects given up minus payments for objects acquired.
     Utilities go through ``expr.eval_expr``, not the induced network's
     compiled rows: this is the interpreted, independent oracle of criterion 7.
+    A utility that is not finite raises ``NonFiniteUtility``.
     """
     owned = set(e.endowments[f])
     best = None
@@ -228,6 +230,9 @@ def economy_demand(e: ExchangeEconomy, f: str,
         transfer = (sum(q[x] for x in owned - bundle)
                     - sum(q[x] for x in bundle - owned))
         v = ex.eval_expr(e.tables[f][bundle], {}, variables={"t": transfer})
+        if not math.isfinite(v):
+            raise NonFiniteUtility(f"utility of {f} for {sorted(bundle)} is not finite "
+                                   f"at transfer {transfer}")
         if best is None or v > best + 1e-12:
             best = v
             argmax = [bundle]

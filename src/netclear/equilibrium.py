@@ -51,8 +51,10 @@ Compiled tables live with their owners (a profile's with the profile
 object, a firm's row closure and scan bit codes with its ``FirmUtility``,
 the codes keyed by the feasible global sets that fix their bit
 positions), and the feasible global sets are cached by the firms'
-feasible bundles, so misreport profiles reuse their unchanged firms'
-work.
+feasible bundles.  A misreport edits one column of a firm's values
+(``_edit``), so a manipulation search needs no profile but the truthful
+one: ``option_hits`` scans all misreports at once, and ``evaluate`` takes
+the edits.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -135,12 +137,6 @@ class EquilibriumSet(Sequence):
         return list(self) == list(other) if is_seq else NotImplemented
 
 
-def lex_first(prices: np.ndarray, rows: np.ndarray | None = None) -> int:
-    """Index of the first lexicographically smallest price row (where ``rows``)."""
-    idx = np.arange(len(prices)) if rows is None else np.flatnonzero(rows)
-    return int(idx[np.lexsort((idx, *prices[idx].T[::-1]))[0]])
-
-
 def _joint_sets(scopes: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
     """Backtracking over (omega, bundles) per firm: each firm fixes all its
     trades, and two firms sharing a trade must agree."""
@@ -213,6 +209,11 @@ class _CompiledProfile:
             _global_tables(tuple((fu.omega, fu.feasible_masks())
                                  for fu in map(self.utilities.get, self.firms)))
 
+    def of_role(self, role: str) -> list[int]:
+        """Indices into ``firms`` of the firms with this ``terminal_roles`` role."""
+        roles = terminal_roles(self.network)
+        return [k for k, f in enumerate(self.firms) if roles[f] == role]
+
     def net_vector(self, mask: int) -> tuple[int, ...]:
         """Per-firm net-trade indices of a global bundle, built once per mask."""
         vec = self._net_vectors.get(mask)
@@ -221,22 +222,24 @@ class _CompiledProfile:
                 net_index(self.network, f, mask) for f in self.firms)
         return vec
 
-    def evaluate(self, points, tie: float
+    def evaluate(self, points, tie: float, edits: dict | None = None
                  ) -> tuple[list[float], np.ndarray, np.ndarray]:
         """Exact Z, supports and indirect utilities at each row of points.
 
         Each firm's value matrix ``V_f[rows, bundles]`` is built once by
-        ``FirmUtility.value_matrix``.  With ``best_f`` its row max, ``z[r]``
-        is the min over feasible global sets of the max over firms of
-        ``best_f - V_f`` at the firm's share; ``fit[r, g]`` says whether
-        every share of ``feasible_globals[g]`` is within ``tie`` of
-        ``best_f`` (the global set supports row r); ``best[r, k]`` is the
+        ``FirmUtility.value_matrix``, edited per row by ``edits[f]`` when
+        given (``_edit``'s arrays, one entry per point).  With ``best_f`` its
+        row max, ``z[r]`` is the min over feasible global sets of the max
+        over firms of ``best_f - V_f`` at the firm's share; ``fit[r, g]``
+        says whether every share of ``feasible_globals[g]`` is within ``tie``
+        of ``best_f`` (the global set supports row r); ``best[r, k]`` is the
         indirect utility of ``firms[k]``.  Rows go in blocks of at most
         ``BATCH`` regret entries.  A non-finite value raises
         ``NonFiniteUtility``.
         """
         points = np.asarray(points, dtype=float)
         points = points.reshape(len(points), self.network.n)
+        edits = edits or {}
         globals_ = len(self.feasible_globals)
         rows = max(1, BATCH // globals_)
         z = np.empty(len(points))
@@ -249,6 +252,9 @@ class _CompiledProfile:
             ok = np.ones((len(block), globals_), dtype=bool)
             for k, (f, share) in enumerate(zip(self.firms, self.shares)):
                 v = self.utilities[f].value_matrix(columns)
+                if f in edits:
+                    v = _edit(v, np.arange(v.shape[1]),
+                              *(e[a:a + rows, None] for e in edits[f]))
                 top = v.max(1)
                 best[a:a + rows, k] = top
                 np.maximum(worst, (top[:, None] - v)[:, share], out=worst)
@@ -266,8 +272,8 @@ class _CompiledProfile:
         net = dict(zip(self.firms, self.net_vector(supports[0])))
         return EquilibriumRecord(p, supports, net, z)
 
-    def _firm_codes(self, k: int, columns: list[np.ndarray],
-                    threshold: float) -> list[np.ndarray]:
+    def _firm_codes(self, k: int, columns: list[np.ndarray], threshold: float,
+                    edits: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
         """Firm k's bit code per chunk of global sets: bit j is set where the
         firm's share of the chunk's set j has regret at most threshold.
 
@@ -275,27 +281,32 @@ class _CompiledProfile:
         reads.  The last ``SCAN_TABLES`` are kept on its utility object,
         keyed by the feasible global sets (which fix the bit positions), the
         threshold and the price levels of the columns it reads, so every
-        profile holding the object reuses them.  A non-finite value raises
-        ``NonFiniteUtility``, naming the first such point of the columns'
-        grid in row-major order."""
+        profile holding the object reuses them; ``edits`` (``_edit``'s arrays
+        over K options) give codes, not kept, with a leading axis of K.  A
+        non-finite value raises ``NonFiniteUtility``, naming the first such
+        point of the columns' grid in row-major order."""
         u = self.utilities[self.firms[k]]
         key = (self.feasible_globals, threshold,
                *(columns[d].tobytes() for d in u.price_axes))
         codes = u._scan.get(key)
-        if codes is not None:
+        if codes is not None and edits is None:
             return codes
         with np.errstate(all="ignore"):
             vals = [np.asarray(v, dtype=float) for v in u._row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
             # raises the value matrix's error, naming the first bad point
             u.value_matrix([c.ravel() for c in np.broadcast_arrays(*columns)])
+        if edits is not None:
+            edits = [np.reshape(e, (-1,) + (1,) * len(columns)) for e in edits]
+            vals = [_edit(v, j, *edits) for j, v in enumerate(vals)]
         best = reduce(np.maximum, vals)
         ok = [best - v <= threshold for v in vals]
-        codes = u._scan[key] = [
-            reduce(np.bitwise_or, (t.astype(w.dtype) * w for t, w in zip(ok, chunk[k])))
-            for chunk in self.share_bits]
-        if len(u._scan) > SCAN_TABLES:
-            del u._scan[next(iter(u._scan))]
+        codes = [reduce(np.bitwise_or, (t.astype(w.dtype) * w for t, w in zip(ok, chunk[k])))
+                 for chunk in self.share_bits]
+        if edits is None:
+            u._scan[key] = codes
+            if len(u._scan) > SCAN_TABLES:
+                del u._scan[next(iter(u._scan))]
         return codes
 
     def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
@@ -304,8 +315,7 @@ class _CompiledProfile:
         Each firm gives one bit code per chunk of global sets
         (``_firm_codes``); a point is a hit where, in some chunk, the AND of
         the firms' codes is non-zero.  The AND runs in blocks of at most
-        ``BATCH`` points: a run of rows on one axis, every later axis whole,
-        every earlier axis fixed.
+        ``BATCH`` points (``_hits``).
 
         When the grid spans more than one block and every firm's sub-grid
         fits in one, the scan first narrows the axes (``_narrow``): each
@@ -319,47 +329,100 @@ class _CompiledProfile:
         """
         n, levels = self.network.n, len(axis)
         axes = [self.utilities[f].price_axes for f in self.firms]
-
-        def along(d: int, column: np.ndarray) -> np.ndarray:
-            return column.reshape((1,) * d + (-1,) + (1,) * (n - 1 - d))
-
         values, tables = [axis] * n, None
         if levels ** n > BATCH and all(levels ** len(read) <= BATCH for read in axes):
             tables = []
             for k, read in enumerate(axes):
                 # the firm's whole sub-grid: every level on the axes it
                 # reads, the first elsewhere
-                whole = [along(d, axis if d in read else axis[:1]) for d in range(n)]
+                whole = _columns([axis if d in read else axis[:1] for d in range(n)])
                 shape = [levels if d in read else 1 for d in range(n)]
                 tables.append([np.reshape(code, shape)
                                for code in self._firm_codes(k, whole, threshold)])
             values = _narrow(tables, axes, axis)
             if values is None:
                 return []
-        sizes = [len(v) for v in values]
-        lead = next(d for d in range(n) if math.prod(sizes[d + 1:]) <= BATCH)
-        rows = min(sizes[lead], max(1, BATCH // math.prod(sizes[lead + 1:])))
-        hits: list[tuple[float, ...]] = []
-        for prefix in itertools.product(*map(range, sizes[:lead])):
-            for a in range(0, sizes[lead], rows):
-                block = [slice(i, i + 1) for i in prefix] + [slice(a, a + rows)] \
-                    + [slice(None)] * (n - 1 - lead)
-                cut = [v[s] for v, s in zip(values, block)]
-                columns = [along(d, c) for d, c in enumerate(cut)]
-                if tables is None:
-                    codes = [self._firm_codes(k, columns, threshold) for k in range(len(axes))]
-                else:
-                    codes = [[t[tuple(s if d in read else slice(None)
-                                      for d, s in enumerate(block))] for t in table]
-                             for table, read in zip(tables, axes)]
-                hit = reduce(np.logical_or, (reduce(np.bitwise_and, chunk)
-                                             for chunk in zip(*codes)))
-                shape = tuple(map(len, cut))
-                if hit.shape != shape:  # an axis that no firm reads
-                    hit = np.broadcast_to(hit, shape)
-                coords = np.unravel_index(np.flatnonzero(hit), shape)
-                hits.extend(zip(*(c[i].tolist() for c, i in zip(cut, coords))))
-        return hits
+
+        def codes(block: list[slice]) -> list[list[np.ndarray]]:
+            if tables is None:
+                columns = _columns([v[s] for v, s in zip(values, block)])
+                return [self._firm_codes(k, columns, threshold) for k in range(len(axes))]
+            return [[t[tuple(s if d in read else slice(None) for d, s in enumerate(block))]
+                     for t in table] for table, read in zip(tables, axes)]
+
+        return [tuple(p) for _, _, points in _hits(values, BATCH, codes, {})
+                for p in points.tolist()]
+
+    def option_hits(self, axis: np.ndarray, threshold: float,
+                    options: dict[int, tuple[np.ndarray, ...]]
+                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``_hits`` on the grid axis^n for firm k's options ``options[k]``
+        (``_edit``'s arrays): each combination's hits are ``scan_hits``' with
+        its edits.  A block holds ``BATCH // 16`` points, or one grid up to
+        ``BATCH``."""
+        n = self.network.n
+        return _hits([axis] * n, max(BATCH // 16, min(len(axis) ** n, BATCH)),
+                     lambda block: [self._firm_codes(k, _columns([axis[s] for s in block]),
+                                                     threshold, options.get(k))
+                                    for k in range(len(self.firms))],
+                     {k: len(o[0]) for k, o in options.items()})
+
+
+def _hits(values: Sequence[np.ndarray], cap: int, codes, options: dict[int, int]
+          ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Where, in some chunk, the AND of the firms' codes over the grid
+    values[0] x values[1] x ... is non-zero, for each combination of the
+    listed firms' options (firm index: count), numbered in product order.
+    Combinations lead the grid axes in row-major blocks of at most cap
+    points: a run of rows on one axis, later axes whole, earlier ones fixed.
+    ``codes(grid slices)`` gives each firm's codes per chunk, a listed
+    firm's with a leading option axis.  Yields (combinations done, each
+    hit's combination, the hit points) as blocks end with a combination,
+    in pieces of whole combinations."""
+    sizes = list(options.values())
+    combos, grid = math.prod(sizes), math.prod(map(len, values))
+    dims = [combos, *map(len, values)]
+    lead = next(d for d in range(len(dims)) if math.prod(dims[d + 1:]) <= cap)
+    rows = min(dims[lead], max(1, cap // math.prod(dims[lead + 1:])))
+    done, key, pending = 0, None, []
+    for prefix, a in itertools.product(itertools.product(*map(range, dims[:lead])),
+                                       range(0, dims[lead], rows)):
+        block = [slice(i, i + 1) for i in prefix] + [slice(a, a + rows)] \
+            + [slice(None)] * (len(dims) - 1 - lead)
+        cut = [v[s] for v, s in zip(values, block[1:])]
+        if block[1:] != key:
+            key, found = block[1:], codes(block[1:])
+        ids = np.arange(combos)[block[0]]
+        pick = dict(zip(options, np.unravel_index(ids, sizes))) if options else {}
+        hit = reduce(np.logical_or, (
+            reduce(np.bitwise_and, (c[pick[k]] if k in pick else c for k, c in enumerate(chunk)))
+            for chunk in zip(*found)))
+        hit = np.broadcast_to(hit, (len(ids), *map(len, cut)))
+        combo, *coords = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        pending.append((ids[combo], np.stack([c[i] for c, i in zip(cut, coords)], 1)))
+        done += hit.size
+        if done % grid == 0:
+            combo, points = map(np.concatenate, zip(*pending))
+            pending = []
+            # bound the hits in flight: pieces of about cap // 8 hits, cut
+            # where a combination starts
+            firsts, per = np.flatnonzero(np.diff(combo, prepend=-1)), max(1, cap // 8)
+            cuts = firsts[np.searchsorted(firsts, np.arange(per, len(combo), per), "right") - 1]
+            bounds = [0, *dict.fromkeys(i for i in cuts.tolist() if i), len(combo)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                yield combo[hi] if hi < len(combo) else done // grid, combo[lo:hi], points[lo:hi]
+
+
+def _columns(cut: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Column d holds cut[d] along axis d: they broadcast over the grid."""
+    return [c.reshape((1,) * d + (-1,) + (1,) * (len(cut) - 1 - d)) for d, c in enumerate(cut)]
+
+
+def _edit(v, j, col: np.ndarray, put: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Bundle column j's values v, reported: where ``col`` is j, ``const``
+    set (``put``) or added, the compiled row's bits of a truncation or an
+    uplift (``expr.add`` folds no constant)."""
+    return np.where(col == j, np.where(put, const, v + const), v)
 
 
 def _narrow(tables: list[list[np.ndarray]], axes: Sequence[tuple[int, ...]],
@@ -814,17 +877,19 @@ def verify_rural_hospitals_pair(u: UtilityProfile, e: EquilibriumRecord,
         unmatched)
 
 
-def dominant(found: EquilibriumSet, role: str) -> int | None:
-    """Index of the record of the non-empty set that makes every firm of
-    ``role`` (``terminal_roles``) weakly best off at once: within 1e-9 of
-    each such firm's largest indirect utility over the set.  Ties break
-    lexicographically on prices, then by position; None when no record
-    dominates.  ``extremal_equilibria`` and the buyer-optimal mechanism
-    both rank by it."""
-    roles = terminal_roles(found._cp.network)
-    utilities = found.best[:, [k for k, f in enumerate(found._cp.firms) if roles[f] == role]]
-    ok = (utilities >= utilities.max(0) - 1e-9).all(1)
-    return lex_first(found.prices, ok) if ok.any() else None
+def dominant(prices: np.ndarray, utilities: np.ndarray, seg: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of rows (equal ``seg``, ascending; one if None), the row
+    weakly best for every column of ``utilities`` (within 1e-9), else any
+    row, lexicographically first on prices, then by position; and whether
+    the first kind exists.  The extremal check and mechanisms rank by it."""
+    seg = np.zeros(len(prices), dtype=np.intp) if seg is None else seg
+    new = np.diff(seg, prepend=-1) != 0
+    firsts, of = np.flatnonzero(new), np.cumsum(new) - 1
+    ok = (utilities >= np.maximum.reduceat(utilities, firsts)[of] - 1e-9).all(1)
+    some = np.logical_or.reduceat(ok, firsts)
+    order = np.lexsort((np.arange(len(seg)), *prices.T[::-1], ~(ok | ~some[of]), seg))
+    return order[firsts], some
 
 
 @dataclass(frozen=True)
@@ -860,9 +925,11 @@ def extremal_equilibria(u: UtilityProfile,
         z, fit, best = cp.evaluate(prices, EPS_TIE)
         found = EquilibriumSet(cp, prices, fit, np.array(z), best, list(found))
     prices = found.prices
-    seller, buyer = dominant(found, "terminal-seller"), dominant(found, "terminal-buyer")
-    seller_opt = None if seller is None else found[seller]
-    buyer_opt = None if buyer is None else found[buyer]
+    optima = []
+    for role in ("terminal-seller", "terminal-buyer"):
+        (row,), (some,) = dominant(prices, found.best[:, cp.of_role(role)])
+        optima.append(found[int(row)] if some else None)
+    seller_opt, buyer_opt = optima
     cmax = bool((prices >= prices.max(0) - 1e-12).all(1).any())
     cmin = bool((prices <= prices.min(0) + 1e-12).all(1).any())
     return ExtremalReport(seller_opt, buyer_opt,

@@ -97,6 +97,10 @@ class NotTerminalBuyers(NetclearError):
     pass
 
 
+class RepeatedCoalitionMember(NotTerminalBuyers):
+    """A coalition names one firm twice."""
+
+
 class GridTooLarge(NetclearError):
     """A grid scan would visit more points than the scan cap allows.
     Carries the point count."""

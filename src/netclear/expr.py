@@ -31,6 +31,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -133,22 +134,47 @@ def substitute(e: Expr, prices: Mapping[str, float | Expr] | None = None,
 
 # -- evaluation / compilation ------------------------------------------------
 
+def _ieee(f, fallback):
+    """f, or where Python raises, the NaN or inf that NumPy gives: the value
+    ``fallback``, or what it gives for the arguments."""
+    def g(*args):
+        try:
+            return f(*args)
+        except (ArithmeticError, ValueError):
+            return fallback(*args) if callable(fallback) else fallback
+    return g
+
+
+def _fold(wins):
+    """min or max as ``np.minimum`` or ``np.maximum`` fold: the left operand
+    where it wins or is NaN, else the right (of -0.0 and 0.0, the right)."""
+    return lambda *args: reduce(lambda a, b: a if wins(a, b) or a != a else b, args)
+
+
 # Each operator twice: as the Python function the interpreter applies, and
-# as the NumPy text the compiler emits ("min" and "max" fold left).
+# as the NumPy text the compiler emits ("min" and "max" fold left).  Out of
+# its domain the interpreter gives the row's NaN or inf, not an error.
 _PYTHON = {
-    "neg": operator.neg, "exp": math.exp, "sqrt": math.sqrt,
+    "neg": operator.neg, "exp": _ieee(math.exp, math.inf),
+    "sqrt": _ieee(math.sqrt, math.nan),
     "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "^": operator.pow, "min": min, "max": max,
+    "/": _ieee(operator.truediv, lambda a, b: a * math.copysign(math.inf, b)),
+    # C's pow: NaN for a negative base to a fractional power, else signed inf
+    "^": _ieee(math.pow, lambda a, b: math.nan if a < 0 and b % 1 else
+               math.copysign(math.inf, a) if b % 2 == 1 else math.inf),
+    "min": _fold(operator.lt), "max": _fold(operator.gt),
     "<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
 }
 
-# NumPy text: (head, separator, tail) around the operands
+# NumPy text: (head, separator, tail) around the operands (np.divide, so
+# that a constant divided by zero is inf, not ZeroDivisionError)
 _NUMPY = {
     "neg": ("(-", "", ")"), "exp": ("np.exp(", "", ")"),
     "sqrt": ("np.sqrt(", "", ")"), "^": ("np.power(", ", ", ")"),
+    "/": ("np.divide(", ", ", ")"),
     "min": ("np.minimum(", ", ", ")"), "max": ("np.maximum(", ", ", ")"),
     **{op: ("(", f" {op} ", ")")
-       for op in ("+", "-", "*", "/", "<=", "<", ">=", ">")},
+       for op in ("+", "-", "*", "<=", "<", ">=", ">")},
 }
 
 

@@ -27,7 +27,6 @@ from .errors import (
     NonFiniteUtility,
     NonMonotoneExpr,
     NotTerminalBuyer,
-    NotUnitDemand,
     UnknownFirm,
 )
 from .model import PriceVector, TradeNetwork, partition_bundle, terminal_roles
@@ -281,15 +280,6 @@ def endowment_transform(u: FirmUtility, endowed: int,
             sub = (sub - 1) & remaining
         if arms:
             table[b] = arms[0] if len(arms) == 1 else ex.Op("max", tuple(arms))
-    return FirmUtility(u.firm, u.network, table)
-
-
-def truncate_at_outside(u: FirmUtility, new_outside: float) -> FirmUtility:
-    """Replace a unit-demand buyer's outside-option value."""
-    if not is_unit_demand(u):
-        raise NotUnitDemand(u.firm)
-    table = dict(u.table)
-    table[0] = ex.num(new_outside)
     return FirmUtility(u.firm, u.network, table)
 
 

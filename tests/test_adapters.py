@@ -15,7 +15,7 @@ from netclear.adapters import (
     uniform_price_project,
 )
 from netclear.equilibrium import find_equilibria, is_equilibrium
-from netclear.errors import NotInducedNetwork, ScenarioValidationError
+from netclear.errors import NonFiniteUtility, NotInducedNetwork, ScenarioValidationError
 from netclear.cli import load_scenario
 from netclear.expr import Num, Op, Price, parse_expr
 from netclear.model import PriceVector
@@ -172,6 +172,18 @@ def test_economy_demand():
     assert v == pytest.approx(1.0)
     argmax, _v = economy_demand(e, "A", {"x": 1.0})  # indifferent
     assert sorted(argmax, key=len) == [frozenset(), frozenset({"x"})]
+
+
+def test_economy_demand_rejects_a_utility_outside_its_domain():
+    # B pays for x: a negative transfer under the square root, where the
+    # interpreter gives NaN as the compiled row does
+    e = ExchangeEconomy(("x",), {"A": ("x",), "B": ()},
+                        {"A": {frozenset(): pe("t"), frozenset({"x"}): pe("1 + t")},
+                         "B": {frozenset(): pe("t"), frozenset({"x"}): pe("3 + t ^ 0.5")}})
+    assert economy_demand(e, "B", {"x": 0.0}) == ([frozenset({"x"})], 3.0)
+    for q in (2.0, 1e-9):
+        with pytest.raises(NonFiniteUtility):
+            economy_demand(e, "B", {"x": q})
 
 
 def test_uniform_price_project_and_lift_errors():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from netclear import expr
 from netclear.expr import (
     Num,
     Op,
+    Piecewise,
     Price,
     Var,
     compile_expr,
@@ -181,7 +183,7 @@ def test_to_source_text_per_operator():
         ("exp(p[a])", "np.exp(p[0])"),
         ("sqrt(p[a])", "np.sqrt(p[0])"),
         ("p[a] + p[b] - 2 * p[a] / 3",
-         "((p[0] + p[1]) - ((2.0 * p[0]) / 3.0))"),
+         "((p[0] + p[1]) - np.divide((2.0 * p[0]), 3.0))"),
         ("p[a] ^ 2", "np.power(p[0], 2.0)"),
         ("min(p[a], p[b], 1)", "np.minimum(np.minimum(p[0], p[1]), 1.0)"),
         ("max(p[a], p[b], 1)", "np.maximum(np.maximum(p[0], p[1]), 1.0)"),
@@ -228,3 +230,51 @@ def test_interpreter_and_compiled_row_agree_per_operator(op):
         (point,) = row(np.array([price]))
         (column,) = row([np.array([price, price])])
         assert float(point) == value and column.tolist() == [value, value]
+
+
+def random_tree(rng, depth):
+    """A tree over p[a] and p[b] whose operators leave their domains at some
+    prices: fractional powers and square roots of negative numbers, poles of
+    ``/`` and ``^``, and overflow of ``^`` and ``exp``."""
+    leaf = rng.choice([Price("a"), Price("b"), Num(rng.choice([-2.0, -0.5, 0.0, 1.5, 3.0]))])
+    if depth == 0:
+        return leaf
+    kind = rng.choice(["neg", "exp", "sqrt", "+", "-", "*", "/", "^", "min", "max",
+                       "piecewise"])
+    sub = lambda: random_tree(rng, depth - 1)  # noqa: E731
+    if kind == "exp":
+        return Op("exp", (rng.choice([leaf, Num(800.0)]),))
+    if kind in ("neg", "sqrt"):
+        return Op(kind, (sub(),))
+    if kind == "^":
+        return Op("^", (sub(), Num(rng.choice([0.5, 1.5, 2.0, 3.0, -1.0, -0.5, 1000.0]))))
+    if kind in ("min", "max"):
+        return Op(kind, tuple(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "piecewise":
+        guard = Op(rng.choice(["<=", "<", ">=", ">"]), (sub(), sub()))
+        return Piecewise(((guard, sub()),), sub())
+    return Op(kind, (sub(), sub()))
+
+
+def test_interpreter_matches_the_row_outside_domains():
+    rng = random.Random(26)
+    levels = [-4.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 4.0]
+    points = np.array([[a, b] for a in levels for b in levels]
+                      + [[rng.uniform(-4, 4), rng.uniform(-4, 4)] for _ in range(40)])
+    outside = 0
+    for _ in range(400):
+        e = random_tree(rng, rng.randint(1, 3))
+        with np.errstate(all="ignore"):
+            (column,) = compile_expr((e,), {"a": 0, "b": 1})(list(points.T))
+        for (a, b), row in zip(points.tolist(), np.broadcast_to(column, len(points)).tolist()):
+            value = eval_expr(e, {"a": a, "b": b})
+            assert isinstance(value, float) and math.isfinite(value) == math.isfinite(row), \
+                (e, a, b, value, row)
+            if math.isfinite(row):
+                # the tolerance of the tests above, and relative 1e-12 for the
+                # large values of a power near overflow (pow's last bit may
+                # differ between the C library and NumPy)
+                assert row == pytest.approx(value, rel=1e-12, abs=1e-12), (e, a, b)
+            else:
+                outside += 1
+    assert outside > 10000

@@ -63,8 +63,8 @@ from netclear.utility import (
     FirmUtility,
     UtilityProfile,
     make_quasilinear,
-    truncate_at_outside,
 )
+from misreports import truncate_at_outside
 from test_rows import z_by_definition
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")

@@ -14,13 +14,13 @@ import os
 import numpy as np
 import pytest
 
-from netclear import expr as ex
+from netclear import equilibrium, expr as ex
 from netclear.cli import load_scenario
 from netclear.demand import demand_set
 from netclear.equilibrium import _compiled, find_equilibria, grid_axis, surplus
 from netclear.errors import NonFiniteUtility
 from netclear.instances import assignment_market
-from netclear.mechanisms import SearchConfig, buyer_optimal_mechanism, uplift_reports
+from netclear.mechanisms import SearchConfig, buyer_optimal_mechanism, manipulation_search
 from netclear.model import PriceVector, build_network
 from netclear.properties import check_bounds
 from netclear.utility import FirmUtility, UtilityProfile, make_quasilinear, make_unit_demand
@@ -180,13 +180,25 @@ def test_each_firm_compiles_one_row(monkeypatch):
     for fu in u.firms.values():
         assert compiled_for(calls, fu) == [True]
 
-    # a misreport compiles the coalition firm's one row and nothing else
-    buyer = u.firms["b0"]
-    _name, lying = next(uplift_reports(buyer, [0.5]))
+    # a manipulation search edits the coalition's truthful values: it
+    # compiles the truthful profile's rows, one per firm, and builds one
+    # compiled profile, whatever the misreports
+    fresh = assignment_market(2, 3, {(0, 0): 3.0, (0, 1): 2.0, (0, 2): 2.5,
+                                     (1, 0): 1.0, (1, 1): 2.5, (1, 2): 1.5})
     calls.clear()
-    buyer_optimal_mechanism(u.replace(b0=lying), cfg)
-    lying.values(p.values)
-    assert compiled_for(calls, lying) == [True] and len(calls) == 1
+    profiles = []
+    init = equilibrium._CompiledProfile.__init__
+
+    def counted(self, profile):
+        profiles.append(profile)
+        init(self, profile)
+
+    monkeypatch.setattr(equilibrium._CompiledProfile, "__init__", counted)
+    report = manipulation_search(fresh, ["b0", "b1"], cfg, (0.5, 1.5), (0.5, 1.0))
+    assert report.tried == (1 + 2 + 2 * 2) ** 2 - 1
+    assert len(calls) == len(fresh.firms) and profiles == [fresh]
+    for fu in fresh.firms.values():
+        assert compiled_for(calls, fu) == [True]
 
 
 def test_unit_demand_buyer_compiles_one_row(monkeypatch):

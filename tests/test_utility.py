@@ -25,8 +25,8 @@ from netclear.utility import (
     is_unit_demand,
     make_quasilinear,
     make_unit_demand,
-    truncate_at_outside,
 )
+from misreports import truncate_at_outside
 
 
 def test_infeasible_is_singleton_tag():
