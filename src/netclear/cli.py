@@ -427,7 +427,7 @@ def cmd_solve(sc: Scenario, args) -> RunResult:
             [["trade:" + t.id for t in sc.network.trades] + ["Z"]],
             (row + [zr] for points, z in grid_surplus(sc.profile, sc.analysis.box,
                                                        sc.analysis.step)
-             for row, zr in zip(points.tolist(), z)))
+             for row, zr in zip(points.tolist(), z.tolist())))
     return RunResult(0, "\n".join(lines) + "\n", payload, csv_rows)
 
 

@@ -47,14 +47,12 @@ and indirect utilities.  ``find_equilibria`` returns its rows as
 an ``EquilibriumSet`` that builds a record only when indexed;
 ``dominant``, the one rule of the extremal check and the mechanism, ranks
 on the set's indirect utilities.
-Compiled tables live with their owners (a profile's with the profile
-object, a firm's row closure and scan bit codes with its ``FirmUtility``,
-the codes keyed by the feasible global sets that fix their bit
-positions), and the feasible global sets are cached by the firms'
-feasible bundles.  A misreport edits one column of a firm's values
-(``_edit``), so a manipulation search needs no profile but the truthful
-one: ``option_hits`` scans all misreports at once, and ``evaluate`` takes
-the edits.
+Compiled tables live with their owners: a firm's row closure with its
+``FirmUtility``; a profile's feasible global sets, net-trade indices and
+each firm's last scan bit codes with the profile object.  A misreport
+edits one column of a firm's values (``_edit``), so a manipulation search
+needs no profile but the truthful one: one ``scan`` finds the hits of all
+misreports at once, and ``evaluate`` takes the edits.
 
 Grid levels come from ``grid_axis`` alone, which validates the box and step
 and caps the grid before anything is allocated.
@@ -66,7 +64,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -93,9 +91,6 @@ BATCH = 1 << 17
 # sweep with no gain, until it falls below DESCENT_STOP or after DESCENT_SWEEPS
 DESCENT_STOP = 1e-10
 DESCENT_SWEEPS = 200
-# scan bit codes kept per firm utility object (one entry per global sets,
-# threshold and price levels read), oldest dropped first
-SCAN_TABLES = 4
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,7 @@ class EquilibriumSet(Sequence):
         rec = self._records[i]
         if rec is None:
             p = PriceVector(self._cp.network, tuple(self.prices[i].tolist()))
-            rec = self._records[i] = self._cp.record(p, self.fit[i], float(self.z[i]))
+            rec = self._records[i] = self._cp.record(p, self.fit[i], self.z[i])
         return rec
 
     def __eq__(self, other) -> bool:
@@ -175,8 +170,7 @@ def _share_bits(rows: Sequence[tuple[int, ...]],
     return tuple(np.array(w, dtype=dtype) for w in weights)
 
 
-@lru_cache(maxsize=256)
-def _global_tables(scopes: tuple[tuple[int, tuple[int, ...]], ...]) -> tuple[
+def _global_tables(scopes: Sequence[tuple[int, Sequence[int]]]) -> tuple[
         tuple[int, ...], tuple[np.ndarray, ...], tuple[tuple[np.ndarray, ...], ...]]:
     """The feasible global sets; per firm, the row column of its share of
     each set; and per chunk of at most 64 sets, the firms' share bit
@@ -197,7 +191,7 @@ class _CompiledProfile:
 
     It is kept on the profile (``_compiled``) and holds the profile's firm
     utilities, not the profile itself, so the two form no reference cycle
-    and are freed together.
+    and are freed together, the scan codes (``_firm_codes``) with them.
     """
 
     def __init__(self, profile: UtilityProfile):
@@ -205,9 +199,10 @@ class _CompiledProfile:
         self.network = profile.network
         self.firms = sorted(profile.firms)
         self._net_vectors: dict[int, tuple[int, ...]] = {}
-        self.feasible_globals, self.shares, self.share_bits = \
-            _global_tables(tuple((fu.omega, fu.feasible_masks())
-                                 for fu in map(self.utilities.get, self.firms)))
+        # firm index -> (key, codes) of the last codes it computed without edits
+        self._codes: dict[int, tuple[tuple, list[np.ndarray]]] = {}
+        self.feasible_globals, self.shares, self.share_bits = _global_tables(
+            [(fu.omega, fu.feasible_masks()) for fu in map(self.utilities.get, self.firms)])
 
     def of_role(self, role: str) -> list[int]:
         """Indices into ``firms`` of the firms with this ``terminal_roles`` role."""
@@ -223,7 +218,7 @@ class _CompiledProfile:
         return vec
 
     def evaluate(self, points, tie: float, edits: dict | None = None
-                 ) -> tuple[list[float], np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact Z, supports and indirect utilities at each row of points.
 
         Each firm's value matrix ``V_f[rows, bundles]`` is built once by
@@ -261,7 +256,7 @@ class _CompiledProfile:
                 ok &= (v >= (top - tie)[:, None])[:, share]
             z[a:a + rows] = worst.min(1)
             fit[a:a + rows] = ok
-        return z.tolist(), fit, best
+        return z, fit, best
 
     def record(self, p: PriceVector, fit: np.ndarray,
                z: float) -> EquilibriumRecord | None:
@@ -270,7 +265,7 @@ class _CompiledProfile:
         if not supports:
             return None
         net = dict(zip(self.firms, self.net_vector(supports[0])))
-        return EquilibriumRecord(p, supports, net, z)
+        return EquilibriumRecord(p, supports, net, float(z))
 
     def _firm_codes(self, k: int, columns: list[np.ndarray], threshold: float,
                     edits: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
@@ -278,19 +273,18 @@ class _CompiledProfile:
         firm's share of the chunk's set j has regret at most threshold.
 
         A code broadcasts over the columns but only spans the axes the firm
-        reads.  The last ``SCAN_TABLES`` are kept on its utility object,
-        keyed by the feasible global sets (which fix the bit positions), the
-        threshold and the price levels of the columns it reads, so every
-        profile holding the object reuses them; ``edits`` (``_edit``'s arrays
-        over K options) give codes, not kept, with a leading axis of K.  A
-        non-finite value raises ``NonFiniteUtility``, naming the first such
-        point of the columns' grid in row-major order."""
+        reads.  The firm's last codes are kept on the profile, keyed by the
+        threshold and the price levels of the columns it reads, so a scan
+        block or a later scan that reads the same levels reuses them;
+        ``edits`` (``_edit``'s arrays over K options) give codes, not kept,
+        with a leading axis of K.  A non-finite value raises
+        ``NonFiniteUtility``, naming the first such point of the columns'
+        grid in row-major order."""
         u = self.utilities[self.firms[k]]
-        key = (self.feasible_globals, threshold,
-               *(columns[d].tobytes() for d in u.price_axes))
-        codes = u._scan.get(key)
-        if codes is not None and edits is None:
-            return codes
+        key = (threshold, *(columns[d].tobytes() for d in u.price_axes))
+        kept = self._codes.get(k)
+        if edits is None and kept is not None and kept[0] == key:
+            return kept[1]
         with np.errstate(all="ignore"):
             vals = [np.asarray(v, dtype=float) for v in u._row(columns)]
         if not all(np.isfinite(v).all() for v in vals):
@@ -300,37 +294,43 @@ class _CompiledProfile:
             edits = [np.reshape(e, (-1,) + (1,) * len(columns)) for e in edits]
             vals = [_edit(v, j, *edits) for j, v in enumerate(vals)]
         best = reduce(np.maximum, vals)
-        ok = [best - v <= threshold for v in vals]
+        # a regret equal to the threshold in exact arithmetic can round a few
+        # ulps above it (2.7 - 2.2 is 0.5000000000000002); the pad keeps it
+        ok = [best - v <= threshold + 1e-15 for v in vals]
         codes = [reduce(np.bitwise_or, (t.astype(w.dtype) * w for t, w in zip(ok, chunk[k])))
                  for chunk in self.share_bits]
         if edits is None:
-            u._scan[key] = codes
-            if len(u._scan) > SCAN_TABLES:
-                del u._scan[next(iter(u._scan))]
+            self._codes[k] = key, codes
         return codes
 
-    def scan_hits(self, axis: np.ndarray, threshold: float) -> list[tuple[float, ...]]:
-        """Points of the grid axis^n where Z <= threshold, in row-major order.
+    def scan(self, axis: np.ndarray, threshold: float,
+             options: dict[int, tuple[np.ndarray, ...]] | None = None
+             ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``_hits`` on the grid axis^n: the points where Z <= threshold (up
+        to the pad of ``_firm_codes``), in row-major order, for each
+        combination of firm k's options ``options[k]`` (``_edit``'s arrays;
+        none for a plain scan).
 
         Each firm gives one bit code per chunk of global sets
-        (``_firm_codes``); a point is a hit where, in some chunk, the AND of
-        the firms' codes is non-zero.  The AND runs in blocks of at most
-        ``BATCH`` points (``_hits``).
+        (``_firm_codes``, a listed firm's per option); a point is a hit
+        where, in some chunk, the AND of the firms' codes is non-zero.  The
+        AND runs in blocks of at most ``BATCH`` points: one grid of up to
+        ``BATCH`` points, or several combinations of a grid below
+        ``BATCH // 16``.
 
-        When the grid spans more than one block and every firm's sub-grid
-        fits in one, the scan first narrows the axes (``_narrow``): each
+        A plain scan whose grid spans more than one block, with every firm's
+        sub-grid fitting in one, first narrows the axes (``_narrow``): each
         firm's codes are computed over its whole sub-grid, the levels that
         cannot hold a hit are dropped, and the blocks run over the kept
         levels only, reading the codes from the compressed tables.  The
-        hits are the same points in the same order.  Otherwise the blocks
-        cover every level, and a firm's code for a block is computed only
-        when its utility object does not hold it yet for the block's levels
-        on the axes it reads.
+        hits are the same points in the same order.
         """
+        options = options or {}
         n, levels = self.network.n, len(axis)
         axes = [self.utilities[f].price_axes for f in self.firms]
         values, tables = [axis] * n, None
-        if levels ** n > BATCH and all(levels ** len(read) <= BATCH for read in axes):
+        if not options and levels ** n > BATCH and all(levels ** len(read) <= BATCH
+                                                       for read in axes):
             tables = []
             for k, read in enumerate(axes):
                 # the firm's whole sub-grid: every level on the axes it
@@ -341,30 +341,17 @@ class _CompiledProfile:
                                for code in self._firm_codes(k, whole, threshold)])
             values = _narrow(tables, axes, axis)
             if values is None:
-                return []
+                return iter(())
 
         def codes(block: list[slice]) -> list[list[np.ndarray]]:
             if tables is None:
                 columns = _columns([v[s] for v, s in zip(values, block)])
-                return [self._firm_codes(k, columns, threshold) for k in range(len(axes))]
+                return [self._firm_codes(k, columns, threshold, options.get(k))
+                        for k in range(len(axes))]
             return [[t[tuple(s if d in read else slice(None) for d, s in enumerate(block))]
                      for t in table] for table, read in zip(tables, axes)]
 
-        return [tuple(p) for _, _, points in _hits(values, BATCH, codes, {})
-                for p in points.tolist()]
-
-    def option_hits(self, axis: np.ndarray, threshold: float,
-                    options: dict[int, tuple[np.ndarray, ...]]
-                    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """``_hits`` on the grid axis^n for firm k's options ``options[k]``
-        (``_edit``'s arrays): each combination's hits are ``scan_hits``' with
-        its edits.  A block holds ``BATCH // 16`` points, or one grid up to
-        ``BATCH``."""
-        n = self.network.n
-        return _hits([axis] * n, max(BATCH // 16, min(len(axis) ** n, BATCH)),
-                     lambda block: [self._firm_codes(k, _columns([axis[s] for s in block]),
-                                                     threshold, options.get(k))
-                                    for k in range(len(self.firms))],
+        return _hits(values, max(BATCH // 16, min(levels ** n, BATCH)), codes,
                      {k: len(o[0]) for k, o in options.items()})
 
 
@@ -494,7 +481,7 @@ def _check_inputs(records: Sequence[EquilibriumRecord], eps_eq: float) -> None:
 def surplus(u: UtilityProfile, p: PriceVector) -> float:
     """Z(p): zero exactly at equilibrium prices, positive elsewhere; a
     batch of one through ``_CompiledProfile.evaluate``."""
-    return _compiled(u).evaluate([p.values], EPS_TIE)[0][0]
+    return float(_compiled(u).evaluate([p.values], EPS_TIE)[0][0])
 
 
 def is_equilibrium(u: UtilityProfile, p: PriceVector,
@@ -571,7 +558,7 @@ def _coordinate_descent(cp: _CompiledProfile, starts: np.ndarray, z: np.ndarray,
             trials = np.repeat(x[j], 2, axis=0)
             trials[np.arange(len(trials)), np.repeat(i, 2)] += np.stack([s, -s], 1).ravel()
             try:
-                zt = np.array(cp.evaluate(trials, EPS_TIE)[0]).reshape(-1, 2)
+                zt = cp.evaluate(trials, EPS_TIE)[0].reshape(-1, 2)
                 break
             except NonFiniteUtility as err:
                 # the call is one kernel block unless every start has one
@@ -627,7 +614,7 @@ def _dedupe(points: np.ndarray, rows: np.ndarray, loose: np.ndarray) -> np.ndarr
 
 
 def grid_surplus(u: UtilityProfile, box: tuple[float, float],
-                 step: float) -> Iterator[tuple[np.ndarray, list[float]]]:
+                 step: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every point of the grid, in row-major order, and its exact Z from the
     record kernel, one kernel block of points at a time, so memory does not
     grow with the grid.  The box and step are checked by ``grid_axis`` when
@@ -639,7 +626,7 @@ def grid_surplus(u: UtilityProfile, box: tuple[float, float],
     # the row-major digits of a point index: index // place % levels
     place = levels ** np.arange(n - 1, -1, -1)
 
-    def block(a: int) -> tuple[np.ndarray, list[float]]:
+    def block(a: int) -> tuple[np.ndarray, np.ndarray]:
         points = axis[np.arange(a, min(a + rows, total))[:, None] // place % levels]
         return points, cp.evaluate(points, EPS_TIE)[0]
 
@@ -654,14 +641,19 @@ def grid_axis(box: tuple[float, float], step: float, n: int) -> np.ndarray:
     ``GridTooLarge`` when ``levels ** n`` exceeds ``MAX_GRID_POINTS``.
     """
     lo, hi = box
-    if not (hi > lo and 0 < step < math.inf and math.isfinite((hi - lo) / step)):
+    if not (hi > lo and 0 < step < math.inf and math.isfinite((hi + step / 2 - lo) / step)):
         raise EmptyBox(f"bad box {box} / step {step}")
     points = math.ceil((hi + step / 2 - lo) / step) ** n
     if points > MAX_GRID_POINTS:
         raise GridTooLarge(
             f"{points} grid points exceed the scan cap of {MAX_GRID_POINTS}",
             points)
-    return np.round(np.arange(lo, hi + step / 2, step), 12)
+    levels = np.arange(lo, hi + step / 2, step)
+    # rounding to 12 decimals scales by 1e12, which overflows above about
+    # 1.8e296; a level that large is a whole number and stays as it is
+    with np.errstate(over="ignore"):
+        rounded = np.round(levels, 12)
+    return np.where(np.isfinite(rounded), rounded, levels)
 
 
 def find_equilibria(u: UtilityProfile, box: tuple[float, float],
@@ -708,15 +700,14 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
         # no trades and so no firms: one record at the empty price vector
         return EquilibriumSet(cp, np.empty((1, 0)), np.ones((1, 1), dtype=bool),
                               np.zeros(1), np.empty((1, 0)))
-    candidates = cp.scan_hits(axis, (step / 2 if refine else eps_eq) + 1e-15)
-    if not candidates:
-        return EquilibriumSet(cp, np.empty((0, n)),
+    points = np.concatenate([np.empty((0, n)), *(
+        hits for *_, hits in cp.scan(axis, step / 2 if refine else eps_eq))])
+    if not len(points):
+        return EquilibriumSet(cp, points,
                               np.empty((0, len(cp.feasible_globals)), dtype=bool),
                               np.empty(0), np.empty((0, len(cp.firms))))
-    points = np.array(candidates, dtype=float).reshape(len(candidates), n)
     support_tie = _support_tie(eps_eq, eps_tie)
     z, fit, best = cp.evaluate(points, support_tie)
-    z = np.array(z)
     # each descent end replaces its start in the kernel arrays
     moved = (z > eps_eq) & refine
     starts = np.flatnonzero(moved)
@@ -923,7 +914,7 @@ def extremal_equilibria(u: UtilityProfile,
         prices = np.array([rec.prices.values for rec in found], dtype=float)
         prices = prices.reshape(len(found), u.network.n)
         z, fit, best = cp.evaluate(prices, EPS_TIE)
-        found = EquilibriumSet(cp, prices, fit, np.array(z), best, list(found))
+        found = EquilibriumSet(cp, prices, fit, z, best, list(found))
     prices = found.prices
     optima = []
     for role in ("terminal-seller", "terminal-buyer"):

@@ -154,10 +154,10 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
     A misreport edits one column of a member's truthful values, so the
     members' options (truthful, truncations, uplifts) combine, in product
     order, over the truthful profile's tables: one scan for all
-    (``option_hits``), then per block one record-kernel call with the
-    columns edited per row, and each combination ranked as the mechanism
-    ranks its found set.  One without a record counts in ``skipped``; the
-    search stops at the first in which every member gains.
+    (``_CompiledProfile.scan``), then per block one record-kernel call
+    with the columns edited per row, and each combination ranked as the
+    mechanism ranks its found set.  One without a record counts in
+    ``skipped``; the search stops at the first in which every member gains.
     """
     roles = terminal_roles(u_true.network)
     for f in coalition:
@@ -195,14 +195,14 @@ def manipulation_search(u_true: UtilityProfile, coalition: Sequence[str],
     tried = skipped = 0
     all_gain, some_gain = None, []
     start = 1  # combination 0 is the truthful report
-    for stop, combo, points in cp.option_hits(axis, search.eps_eq + 1e-15, options):
+    for stop, combo, points in cp.scan(axis, search.eps_eq, options):
         later = np.searchsorted(combo, start)
         combo, points = combo[later:], points[later:]
         z, fit, best = cp.evaluate(points, tie, {
             cp.firms[k]: tuple(e[o] for e in options[k])
             for k, o in zip(options, np.unravel_index(combo, sizes))})
         # each combination's found set, as find_equilibria gives it without descent
-        rows = np.flatnonzero(np.array(z) <= search.eps_eq)
+        rows = np.flatnonzero(z <= search.eps_eq)
         if search.step <= 2 * DEDUP_TOL:
             segments = np.split(rows, np.flatnonzero(np.diff(combo[rows])) + 1)
             rows = np.concatenate([_dedupe(points, r, np.ones(len(points), dtype=bool))

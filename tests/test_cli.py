@@ -384,6 +384,11 @@ MALFORMED = {
                       "bad box (0.0, 1.0) / step inf"),
     "check-infinite-step": (None, ["check", "--property", "sss", "--step", "inf"],
                             "bad box (-1, 3) / step inf"),
+    # levels too large to round to 12 decimals, and a half step past the largest float
+    "huge-levels": (KINKED, ["solve", "--box", "0", "1e308", "--step", "1e307"],
+                    "a utility is not finite at prices (8e+307, 1e+308)"),
+    "huge-step": (None, ["solve", "--box", "0", "1.7e308", "--step", "1.7e308"],
+                  "bad box (0.0, 1.7e+308) / step 1.7e+308"),
     "trade-seller-a-list": (edited(trades=[{"id": "t", "seller": ["a"], "buyer": "b"}]),
                             ["solve"], "case.json: trades[0].seller: not a JSON string"),
     "utilities-a-list": (edited(utilities=["x"]), ["solve"],

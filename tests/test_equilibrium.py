@@ -105,12 +105,20 @@ def test_find_equilibria_bad_box():
         find_equilibria(m, (0, 1), -0.5)
 
 
+# the last case is finite, but its last level plus half a step is not
 @pytest.mark.parametrize("box,step", [((0.0, 1.0), math.inf), ((0.0, 1.0), math.nan),
                                       ((0.0, math.inf), 0.25), ((-math.inf, 0.0), 0.25),
-                                      ((0.0, 1.0), -math.inf)])
+                                      ((0.0, 1.0), -math.inf), ((0.0, 1.7e308), 1.7e308)])
 def test_grid_axis_rejects_non_finite_box_or_step(box, step):
     with pytest.raises(EmptyBox):
         grid_axis(box, step, 2)
+
+
+def test_grid_axis_keeps_huge_levels_finite():
+    # rounding to 12 decimals scales by 1e12, past the largest float here
+    assert grid_axis((0.0, 1e308), 1e307, 2).tolist() == [k * 1e307 for k in range(11)]
+    # levels that round as before keep their bits
+    assert grid_axis((-1.0, 1e297), 1e296, 1).tolist()[:3] == [-1.0, 1e296, 2e296]
 
 
 def test_all_infeasible_profile():

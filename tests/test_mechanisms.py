@@ -334,3 +334,26 @@ def test_search_matches_the_loop_on_a_grid_beyond_one_block():
     assert len(equilibrium.grid_axis(cfg.box, cfg.step, u.network.n)) ** 3 > equilibrium.BATCH
     rep = assert_same_report(u, ["b0", "b2"], cfg, (0.5,), (0.5,))
     assert rep.tried == 8 and rep.tried > rep.skipped
+
+
+def test_search_dedupes_each_combination_on_a_tiny_step(monkeypatch):
+    # at a step of at most 2 * DEDUP_TOL the found set of each combination is
+    # deduplicated on its own, as find_equilibria dedupes a misreport's grid:
+    # every level of two separate one-trade markets clears, and whether two
+    # neighbours lie within DEDUP_TOL turns on their rounding
+    u = assignment_market(2, 2, {(0, 0): 2.0, (1, 1): 2.0})
+    cfg = SearchConfig((1.0, 1.00001), 1e-6)
+    assert cfg.step <= 2 * equilibrium.DEDUP_TOL
+    sizes, dedupe = [], mechanisms._dedupe
+
+    def spy(points, rows, loose):
+        kept = dedupe(points, rows, loose)
+        sizes.append((len(rows), len(kept)))
+        return kept
+
+    monkeypatch.setattr(mechanisms, "_dedupe", spy)
+    for coalition in (["b0"], ["b0", "b1"]):
+        rep = assert_same_report(u, coalition, cfg, (0.5, 1.5), (0.25,))
+        assert rep.tried > rep.skipped > 0
+    # one call per combination with a record, and some drop rows
+    assert len(sizes) == 2 + 8 and any(kept < rows for rows, kept in sizes)

@@ -9,7 +9,9 @@ give the bits of a descent run one start and one trial at a time, and its
 deduplication the greedy loop's rows.  The extremal ranking and the
 ``lattice`` command must agree with their per-record and per-pair forms,
 the array-backed ``EquilibriumSet`` and the mechanism with the list of
-records they replace, and the per-firm caches with fresh compilation.
+records they replace, and the profiles' cached tables and scan codes with
+fresh compilation; the scan codes are reused where the levels and the
+threshold repeat, and are freed with their profile.
 """
 
 import csv
@@ -33,7 +35,6 @@ from netclear.equilibrium import (
     DESCENT_STOP,
     DESCENT_SWEEPS,
     EPS_EQ,
-    SCAN_TABLES,
     EquilibriumRecord,
     EquilibriumSet,
     ExtremalReport,
@@ -66,6 +67,7 @@ from netclear.utility import (
 )
 from misreports import truncate_at_outside
 from test_rows import z_by_definition
+from test_scan_kernel import scan_points
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SUPPORT_TIE = max(EPS_TIE, 10 * EPS_EQ)
@@ -146,7 +148,7 @@ def sample_points(u, box, step, seed):
     rng = np.random.default_rng(seed)
     lo, hi = box
     uniform = rng.uniform(lo, hi, size=(40, u.network.n))
-    hits = cp.scan_hits(grid(box, step), step / 2 + 1e-15)
+    hits = scan_points(cp, grid(box, step), step / 2)
     assert hits
     return np.vstack([uniform, np.array(hits, dtype=float)])
 
@@ -200,14 +202,14 @@ def test_kernel_is_independent_of_block_size(name, u, box, step, monkeypatch):
     for batch in (1, 3, globals_, 3 * globals_ + 1):
         monkeypatch.setattr(equilibrium, "BATCH", batch)
         zb, fb, bb = cp.evaluate(points, SUPPORT_TIE)
-        assert zb == z and np.array_equal(fb, fit), batch
+        assert np.array_equal(zb, z) and np.array_equal(fb, fit), batch
         assert np.array_equal(bb, best), batch
 
 
 def test_kernel_on_no_points():
     cp = _CompiledProfile(star_market())
     z, fit, best = cp.evaluate([], SUPPORT_TIE)
-    assert z == [] and fit.shape == (0, len(cp.feasible_globals))
+    assert z.shape == (0,) and fit.shape == (0, len(cp.feasible_globals))
     assert best.shape == (0, len(cp.firms))
 
 
@@ -591,7 +593,8 @@ def test_solve_csv_streams_kernel_blocks(tmp_path, capsys):
     points = list(itertools.product(grid(sc.analysis.box, sc.analysis.step).tolist(),
                                     repeat=sc.network.n))
     assert [tuple(map(float, row[:-1])) for row in rows] == points
-    assert [float(row[-1]) for row in rows] == _compiled(sc.profile).evaluate(points, EPS_TIE)[0]
+    z, _fit, _best = _compiled(sc.profile).evaluate(points, EPS_TIE)
+    assert [float(row[-1]) for row in rows] == z.tolist()
     assert peak < 16 * 2 ** 20
 
 
@@ -630,7 +633,7 @@ def record_list(u, box, step, refine):
     compiled profile, and each start descends on its own."""
     cp = _CompiledProfile(u)
     records, kept = [], []
-    for cand in cp.scan_hits(grid(box, step), (step / 2 if refine else EPS_EQ) + 1e-15):
+    for cand in scan_points(cp, grid(box, step), step / 2 if refine else EPS_EQ):
         point, (z,) = cand, cp.evaluate([cand], SUPPORT_TIE)[0]
         if z > EPS_EQ:
             if not refine:
@@ -673,7 +676,7 @@ def test_equilibrium_set_equals_record_list(name, u, box, step):
         # the arrays are the kernel's rows at the records' prices
         assert found.prices.tolist() == [list(rec.prices.values) for rec in want]
         z, fit, best = _CompiledProfile(u).evaluate(found.prices, SUPPORT_TIE)
-        assert found.z.tolist() == z and np.array_equal(found.fit, fit)
+        assert found.z.tolist() == z.tolist() and np.array_equal(found.fit, fit)
         assert np.array_equal(found.best, best)
 
 
@@ -761,11 +764,11 @@ DESCENT_CASES = [(f"profile-{case[0]}", *case[1:]) for case in PROFILES] + \
 def test_lockstep_descent_matches_one_start_at_a_time(name, u, box, step):
     # every start, kept or not, ends where it ends when it descends alone
     cp = _CompiledProfile(u)
-    hits = cp.scan_hits(grid(box, step), step / 2 + 1e-15)
+    hits = scan_points(cp, grid(box, step), step / 2)
     z, _fit, _best = cp.evaluate(hits, SUPPORT_TIE)
     rows = [i for i, zi in enumerate(z) if zi > EPS_EQ]
     starts = np.array(hits, dtype=float).reshape(len(hits), u.network.n)[rows]
-    ends, zr = _coordinate_descent(cp, starts, np.array(z)[rows], step / 2, EPS_EQ)
+    ends, zr = _coordinate_descent(cp, starts, z[rows], step / 2, EPS_EQ)
     alone = [descent_one_start(cp, start, step / 2) for start in starts.tolist()]
     assert bits(ends) == bits([end for end, _z in alone])
     assert bits(zr) == bits([ze for _end, ze in alone])
@@ -790,8 +793,8 @@ def test_descent_cases_refine_off_the_grid():
 def descent_starts(u, box, step):
     """The compiled profile, and the scan hits that start a descent with their Z."""
     cp = _CompiledProfile(u)
-    hits = np.array(cp.scan_hits(grid(box, step), step / 2 + 1e-15), dtype=float)
-    z = np.array(cp.evaluate(hits, SUPPORT_TIE)[0])
+    hits = np.array(scan_points(cp, grid(box, step), step / 2), dtype=float)
+    z = cp.evaluate(hits, SUPPORT_TIE)[0]
     return cp, hits[z > EPS_EQ], z[z > EPS_EQ]
 
 
@@ -1076,14 +1079,11 @@ def test_no_candidates_make_no_kernel_call(monkeypatch):
             assert found.z.shape == np.array(z).shape == (0,)
 
 
-# -- per-firm caches shared across misreport profiles ------------------------------
+# -- scan codes kept on the compiled profile ----------------------------------------
 
 def test_changed_feasible_masks_get_fresh_globals():
     u = random_market(1)
     cp = _compiled(u)
-    # a truncation keeps every mask: the cached tables are shared
-    lying = u.replace(b0=truncate_at_outside(u.firms["b0"], 1.0))
-    assert _compiled(lying).feasible_globals is cp.feasible_globals
     # dropping a bundle changes the masks of b0
     fu = u.firms["b0"]
     dropped = max(fu.table)
@@ -1106,58 +1106,88 @@ def oracle_hits(u, axis, threshold):
             if z(p) <= threshold]
 
 
-def test_scan_tables_follow_the_firm_object(monkeypatch):
-    u = assignment_market(2, 2, {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.5})
-    axis, threshold = grid((0.0, 3.0), 0.5), 0.25 + 1e-15
-    lying = u.replace(b0=truncate_at_outside(u.firms["b0"], 2.0))
-    seller = u.firms["s0"]
-    # one block, and 343 blocks of which each firm keeps the last few
-    for batch in (1 << 17, 7):
-        monkeypatch.setattr(equilibrium, "BATCH", batch)
-        truthful = _compiled(u).scan_hits(axis, threshold)
-        assert truthful == oracle_hits(u, axis, threshold)
-        # the same firm name with another table must not reuse b0's tables
-        hits = _compiled(lying).scan_hits(axis, threshold)
-        assert hits == oracle_hits(lying, axis, threshold) != truthful
-    # in one block the other firms, the same objects, reuse their table
-    monkeypatch.setattr(equilibrium, "BATCH", 1 << 17)
-    _compiled(u).scan_hits(axis, threshold)
-    tables = dict(seller._scan)
-    _compiled(lying).scan_hits(axis, threshold)
-    assert seller._scan.keys() == tables.keys()
-    assert all(seller._scan[k] is v for k, v in tables.items())
-    # at most SCAN_TABLES per firm
-    for k in range(SCAN_TABLES + 2):
-        _compiled(u).scan_hits(axis, threshold + k)
-    assert len(seller._scan) == SCAN_TABLES
+def count_code_rows(monkeypatch, u) -> dict[str, int]:
+    """Per firm of u, a count of the row calls that compute scan codes: the
+    calls on grid columns (one axis each, so more than one dimension when
+    there are two trades or more), not the kernel's flat columns."""
+    calls = dict.fromkeys(u.firms, 0)
+    for f, fu in u.firms.items():
+        def counted(columns, f=f, row=fu._row):
+            calls[f] += isinstance(columns, list) and columns[0].ndim > 1
+            return row(columns)
+
+        monkeypatch.setitem(fu.__dict__, "_row", counted)
+    return calls
 
 
-def test_scan_codes_are_keyed_by_the_global_sets():
+def test_search_computes_the_other_firms_codes_once(monkeypatch):
+    # the option scan reads the truthful scan's codes for every firm outside
+    # the coalition (same threshold, same grid); each member computes its
+    # codes once more, for all its options at once
+    u = assignment_market(2, 3, {(0, 0): 3.0, (0, 1): 2.0, (1, 1): 2.5, (1, 2): 1.5})
+    cfg = SearchConfig((0.0, 3.0), 0.5)
+    for coalition in (["b0"], ["b1", "b2"]):
+        calls = count_code_rows(monkeypatch, u)
+        report = mechanisms.manipulation_search(u, coalition, cfg, (0.5, 1.5), (0.5,))
+        monkeypatch.undo()
+        assert report.tried > report.skipped
+        assert calls == {f: 1 + (f in coalition) for f in u.firms}
+        # a fresh profile for the next coalition
+        u = u.replace()
+
+
+def test_a_repeated_scan_computes_no_codes(monkeypatch):
+    u = random_market(2)
+    box, cp = (0.0, 3.0), _compiled(u)
+    calls = count_code_rows(monkeypatch, u)
+    found = find_equilibria(u, box, 0.5, refine=False)
+    assert set(calls.values()) == {1}
+    calls.update(dict.fromkeys(calls, 0))
+    assert find_equilibria(u, box, 0.5, refine=False) == found
+    assert set(calls.values()) == {0}
+    # another step reads other levels at the same threshold: fresh codes,
+    # which a scan at that step then reuses
+    find_equilibria(u, box, 0.75, refine=False)
+    assert set(calls.values()) == {1}
+    axis = grid(box, 0.75)
+    assert scan_points(cp, axis, EPS_EQ) == oracle_hits(u, axis, EPS_EQ + 1e-15)
+    assert set(calls.values()) == {1}
+
+
+def test_scan_codes_are_keyed_by_the_threshold():
+    # one profile and one grid at two thresholds, the first one again last
+    u = random_market(3)
+    cp, axis = _compiled(u), grid((0.0, 3.0), 0.5)
+    hits = [scan_points(cp, axis, trigger) for trigger in (0.5, EPS_EQ, 0.5)]
+    assert hits == [oracle_hits(u, axis, trigger + 1e-15) for trigger in (0.5, EPS_EQ, 0.5)]
+    assert hits[0] != hits[1]
+
+
+def test_profiles_sharing_a_firm_keep_their_own_codes():
     u = assignment_market(2, 2, {(0, 0): 3.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.5})
-    axis, threshold = grid((0.0, 3.0), 0.5), 0.25 + 1e-15
-    # b0 keeps its expressions but can no longer buy from s0: the same seller
-    # object in a profile with other global sets, on the same grid and block
+    axis, trigger = grid((0.0, 3.0), 0.5), 0.25
+    # b0 keeps its expressions but can no longer buy from s0 (other global
+    # sets), or reports another outside option (the same global sets)
     fu = u.firms["b0"]
     t00 = u.network.mask_of(["t00"])
     narrow = u.replace(b0=FirmUtility("b0", u.network, {
         m: e for m, e in fu.table.items() if m != t00}))
-    seller = u.firms["s0"]
-    assert narrow.firms["s0"] is seller
-    assert _compiled(narrow).feasible_globals != _compiled(u).feasible_globals
-    for v in (u, narrow):
-        assert _compiled(v).scan_hits(axis, threshold) == oracle_hits(v, axis, threshold)
-    # one block each: one entry per profile's global sets
-    assert len(seller._scan) == 2
-    assert {key[0] for key in seller._scan} == {_compiled(u).feasible_globals,
-                                               _compiled(narrow).feasible_globals}
+    lying = u.replace(b0=truncate_at_outside(fu, 2.0))
+    assert narrow.firms["s0"] is lying.firms["s0"] is u.firms["s0"]
+    hits = [scan_points(_compiled(v), axis, trigger) for v in (u, narrow, lying)]
+    assert hits == [oracle_hits(v, axis, trigger + 1e-15) for v in (u, narrow, lying)]
+    assert hits[0] != hits[1] and hits[0] != hits[2]
 
 
-def test_scan_tables_are_freed_with_their_firm():
+def test_scan_codes_are_freed_with_their_profile():
     u = random_market(2)
-    find_equilibria(u, (0.0, 3.0), 0.5)
-    fu = u.firms["b0"]
-    code = next(iter(fu._scan.values()))[0]
-    refs = weakref.ref(code), weakref.ref(_compiled(u))
-    del u, fu, code
+    for step in (0.5, 0.75):
+        find_equilibria(u, (0.0, 3.0), step)
+    # one code set per firm: the last one it computed
+    cp = _compiled(u)
+    assert sorted(cp._codes) == list(range(len(cp.firms)))
+    assert all(len(codes) == len(cp.share_bits) for _key, codes in cp._codes.values())
+    refs = weakref.ref(cp._codes[0][1][0]), weakref.ref(cp)
+    del u, cp
     gc.collect()
     assert all(ref() is None for ref in refs)

@@ -44,10 +44,14 @@ def oracle_hits(u, axis, threshold):
             if z(p) <= threshold]
 
 
+def scan_points(cp, axis, trigger):
+    """The points of a plain ``_CompiledProfile.scan``, in order, as tuples."""
+    return [tuple(p) for *_, points in cp.scan(axis, trigger) for p in points.tolist()]
+
+
 def assert_matches_oracle(profile, axis, trigger):
     cp = _CompiledProfile(profile)
-    threshold = trigger + 1e-15
-    expected = oracle_hits(profile, axis, threshold)
+    expected = oracle_hits(profile, axis, trigger + 1e-15)
     levels, n = len(axis), profile.network.n
     # the largest firm sub-grid as the block size makes the scan narrow the
     # axes whenever the grid spans more than one block
@@ -56,7 +60,7 @@ def assert_matches_oracle(profile, axis, trigger):
     with pytest.MonkeyPatch.context() as mp:
         for batch in (1, 7, levels ** (n - 1) + 1, 1 << 17) + narrowing:
             mp.setattr(equilibrium, "BATCH", batch)
-            assert cp.scan_hits(axis, threshold) == expected, batch
+            assert scan_points(cp, axis, trigger) == expected, batch
     return expected
 
 
@@ -131,7 +135,7 @@ def test_vectorized_nan_raises(monkeypatch):
     for batch in (1, 3, 64):
         monkeypatch.setattr(equilibrium, "BATCH", batch)
         with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0,\)"):
-            cp.scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15)
+            scan_points(cp, grid((0.0, 3.0), 0.5), 0.25)
     with pytest.raises(NonFiniteUtility):
         surplus(u, PriceVector(net, (0.5,)))
     with pytest.raises(NonFiniteUtility):
@@ -140,7 +144,7 @@ def test_vectorized_nan_raises(monkeypatch):
     axis = grid((1.0, 3.0), 0.5)
     expected = oracle_hits(u, axis, 0.25 + 1e-15)
     monkeypatch.setattr(equilibrium, "BATCH", 3)
-    assert cp.scan_hits(axis, 0.25 + 1e-15) == expected
+    assert scan_points(cp, axis, 0.25) == expected
     assert expected
 
 
@@ -174,7 +178,7 @@ def test_non_finite_utility_raises_where_the_scan_narrows(monkeypatch):
     # 49 points, sub-grids of 7: at a block size of 7 the scan narrows
     monkeypatch.setattr(equilibrium, "BATCH", 7)
     inside = grid((-1.0, 2.0), 0.5)
-    hits = _CompiledProfile(market()).scan_hits(inside, 0.25 + 1e-15)
+    hits = scan_points(_CompiledProfile(market()), inside, 0.25)
     assert hits == oracle_hits(market(), inside, 0.25 + 1e-15)
     assert kept and kept[-1] is not None and sum(kept[-1]) < 2 * len(inside)
     # the first grid point outside the domain in row-major order is named,
@@ -182,7 +186,7 @@ def test_non_finite_utility_raises_where_the_scan_narrows(monkeypatch):
     for batch in (7, 1, 3, 1 << 17):
         monkeypatch.setattr(equilibrium, "BATCH", batch)
         with pytest.raises(NonFiniteUtility, match=r"prices \(0\.0, 2\.5\)"):
-            _CompiledProfile(market()).scan_hits(grid((0.0, 3.0), 0.5), 0.25 + 1e-15)
+            scan_points(_CompiledProfile(market()), grid((0.0, 3.0), 0.5), 0.25)
 
 
 def planted_market(seed):
@@ -233,15 +237,14 @@ def test_narrowed_scan_matches_the_dense_scan_on_planted_markets(seed, monkeypat
     n, levels = u.network.n, len(axis)
     assert n in (5, 6) and levels ** n > equilibrium.BATCH
     for trigger in (EPS_EQ, step / 2):
-        threshold = trigger + 1e-15
-        hits = _CompiledProfile(planted_market(seed)[0]).scan_hits(axis, threshold)
+        hits = scan_points(_CompiledProfile(planted_market(seed)[0]), axis, trigger)
         # narrowing ran and dropped levels
         assert kept[-1] is not None and sum(kept[-1]) < n * levels
         # the dense scan: every point in one block, no narrowing
         with monkeypatch.context() as mp:
             mp.setattr(equilibrium, "BATCH", levels ** n)
             count = len(kept)
-            assert _CompiledProfile(u).scan_hits(axis, threshold) == hits
+            assert scan_points(_CompiledProfile(u), axis, trigger) == hits
             assert len(kept) == count
         assert planted in hits
     assert len(kept) == 2
