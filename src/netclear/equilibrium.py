@@ -19,20 +19,20 @@ the AND of the firms' masks, broadcast over the block, is non-zero in some
 chunk.  Grids beyond ``MAX_GRID_POINTS`` raise ``GridTooLarge`` up front
 instead of scanning without end.
 
-Before the AND, the scan narrows each axis to the levels that can hold a
-hit (generalized arc consistency over the masks).  A hit sets one bit in
-every firm's mask at its point, so every firm reading an axis sets that
-bit somewhere at the hit's level of the axis: a level where, in every
-chunk, the AND over the axis' readers of their masks OR-reduced onto the
-axis is zero holds no hit and is dropped, the readers' masks are cut to
-the kept levels, and this repeats until nothing more drops.  The AND then
-runs over the kept levels only and finds the same points in the same
-order.  It runs when the grid spans more than one block of ``BATCH``
-points and every firm's sub-grid fits in one: below that the dense AND is
-cheaper than the narrowing, and above it the masks of a whole sub-grid
-would not be bounded by ``BATCH``.  It gains where levels do not tie, as
-with non-integer costs and values; where every level keeps a tie (integer
-values, zero costs) nothing drops.
+Before the AND, the scan narrows the grid by arc consistency per global
+set.  A hit sets one bit j in every firm's mask at its point, so on each
+axis every firm reading it sets j somewhere at the hit's level.  Per axis
+and chunk, the AND over the axis' readers of their masks OR-reduced onto
+the axis gives per level the bits a hit there could still use; each
+reader's mask is ANDed with them along the axis, the levels left with none
+in every chunk are dropped, and an axis is checked again after a mask of
+one of its readers lost a bit, until none does.  The AND then runs over
+the kept levels only and finds the same points in the same order.  It runs
+when the grid spans more than one block of ``BATCH`` points and every
+firm's sub-grid fits in one: below that the dense AND is cheaper than the
+narrowing, and above it the masks of a whole sub-grid would not be bounded
+by ``BATCH``.  Tied levels (integer values, zero costs) narrow too: a tie
+keeps a level alive for some global sets, not for all of them.
 
 One kernel, ``_CompiledProfile.evaluate``, builds per firm a value matrix
 ``V_f[points, bundles]``, giving Z, the supports (global sets whose every
@@ -157,17 +157,18 @@ _CODE_TYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 _CHUNK = np.iinfo(_CODE_TYPES[-1]).bits
 
 
-def _share_bits(rows: Sequence[tuple[int, ...]],
-                sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+def _share_bits(shares: Sequence[np.ndarray], sizes: Sequence[int],
+                count: int) -> tuple[np.ndarray, ...]:
     """Per firm, the bit weight of each of its bundles over a chunk of
-    global sets: bit j is set where the bundle is the firm's share of the
-    chunk's set j.  The dtype is the smallest that holds the chunk."""
-    dtype = next(t for t in _CODE_TYPES if np.iinfo(t).bits >= len(rows))
-    weights = [[0] * k for k in sizes]
-    for j, columns in enumerate(rows):
-        for w, c in zip(weights, columns):
-            w[c] |= 1 << j
-    return tuple(np.array(w, dtype=dtype) for w in weights)
+    ``count`` global sets: bit j is set where the bundle is the firm's share
+    of the chunk's set j (row column ``shares[k][j]``).  The dtype is the
+    smallest that holds the chunk."""
+    dtype = next(t for t in _CODE_TYPES if np.iinfo(t).bits >= count)
+    bits = np.left_shift(dtype(1), np.arange(count, dtype=dtype))
+    weights = tuple(np.zeros(k, dtype=dtype) for k in sizes)
+    for w, share in zip(weights, shares):
+        np.bitwise_or.at(w, share, bits)
+    return weights
 
 
 def _global_tables(scopes: Sequence[tuple[int, Sequence[int]]]) -> tuple[
@@ -175,15 +176,18 @@ def _global_tables(scopes: Sequence[tuple[int, Sequence[int]]]) -> tuple[
     """The feasible global sets; per firm, the row column of its share of
     each set; and per chunk of at most 64 sets, the firms' share bit
     weights (``_share_bits``).  From each firm's (omega, feasible masks) in
-    firm order."""
+    firm order; a firm's masks ascend, so its column is one ``searchsorted``
+    of its shares."""
     globals_ = tuple(_joint_sets(scopes))
     if not globals_:
         raise AllInfeasible("no globally feasible trade set")
-    rows = tuple(tuple(masks.index(g & omega) for omega, masks in scopes) for g in globals_)
+    sets = np.array(globals_)
+    shares = tuple(np.searchsorted(masks, sets & omega) for omega, masks in scopes)
     sizes = [len(masks) for _omega, masks in scopes]
-    chunks = tuple(_share_bits(rows[a:a + _CHUNK], sizes)
-                   for a in range(0, len(rows), _CHUNK))
-    return globals_, tuple(np.array(c, dtype=np.intp) for c in zip(*rows)), chunks
+    chunks = tuple(_share_bits([s[a:a + _CHUNK] for s in shares], sizes,
+                               len(globals_[a:a + _CHUNK]))
+                   for a in range(0, len(globals_), _CHUNK))
+    return globals_, shares, chunks
 
 
 class _CompiledProfile:
@@ -320,10 +324,10 @@ class _CompiledProfile:
 
         A plain scan whose grid spans more than one block, with every firm's
         sub-grid fitting in one, first narrows the axes (``_narrow``): each
-        firm's codes are computed over its whole sub-grid, the levels that
-        cannot hold a hit are dropped, and the blocks run over the kept
-        levels only, reading the codes from the compressed tables.  The
-        hits are the same points in the same order.
+        firm's codes are computed over its whole sub-grid, the bits and
+        levels that cannot hold a hit are cleared and dropped, and the blocks
+        run over the kept levels only, reading the codes from the masked,
+        compressed tables.  The hits are the same points in the same order.
         """
         options = options or {}
         n, levels = self.network.n, len(axis)
@@ -419,19 +423,19 @@ def _narrow(tables: list[list[np.ndarray]], axes: Sequence[tuple[int, ...]],
 
     ``tables[k]`` holds firm k's code per chunk over its whole sub-grid
     (every level on the axes in ``axes[k]``, one elsewhere); the readers'
-    tables are compressed to the kept levels in place.  A hit sets, in some
-    chunk, one bit in every firm's code at its point, so on each axis every
-    firm reading it sets that bit somewhere at the hit's level.  A pass
-    therefore keeps, on each axis with readers, the levels where in some
-    chunk the AND of the readers' codes OR-reduced over their other axes is
-    non-zero (generalized arc consistency); passes repeat until one drops
-    nothing, skipping an axis none of whose readers' tables shrank since it
-    was last checked, and no hit is ever dropped.
+    tables are masked and cut to the kept levels in place.  A hit uses, in
+    some chunk, one bit j set in every firm's code at its point, so on each
+    axis d every firm reading d sets j somewhere at the hit's level.  A check
+    of d ANDs the readers' codes OR-reduced over their other axes into
+    ``live``, per level the bits a hit there could use, ANDs each reader's
+    table with ``live`` along d and drops the levels with no live bit in any
+    chunk (arc consistency per global set).  An axis is checked again after
+    a reader's table lost a bit, until none does; no hit is ever dropped.
     """
     n = tables[0][0].ndim
     keep = [axis] * n
     readers = [[k for k, read in enumerate(axes) if d in read] for d in range(n)]
-    # an axis is checked again only after a table of one of its readers shrank
+    # an axis is checked again only after a table of one of its readers lost a bit
     stale = [bool(ks) for ks in readers]
     while any(stale):
         for d, ks in enumerate(readers):
@@ -439,18 +443,21 @@ def _narrow(tables: list[list[np.ndarray]], axes: Sequence[tuple[int, ...]],
                 continue
             stale[d] = False
             others = tuple(e for e in range(n) if e != d)
-            alive = reduce(np.logical_or, (
-                reduce(np.bitwise_and, (np.bitwise_or.reduce(t, axis=others) for t in chunk)) != 0
-                for chunk in zip(*(tables[k] for k in ks))))
-            if alive.all():
-                continue
+            projected = [[np.bitwise_or.reduce(t, axis=others, keepdims=True) for t in tables[k]]
+                         for k in ks]
+            live = [reduce(np.bitwise_and, chunk) for chunk in zip(*projected)]
+            alive = reduce(np.logical_or, (c != 0 for c in live)).ravel()
             if not alive.any():
                 return None
             keep[d] = keep[d][alive]
-            for k in ks:
-                tables[k] = [t.compress(alive, axis=d) for t in tables[k]]
-            for e in {e for k in ks for e in axes[k]} - {d}:
-                stale[e] = True
+            for k, projections in zip(ks, projected):
+                lost = [bool((p != c).any()) for p, c in zip(projections, live)]
+                if any(lost):
+                    tables[k] = [t & c if x else t for t, c, x in zip(tables[k], live, lost)]
+                    for e in set(axes[k]) - {d}:
+                        stale[e] = True
+                if not alive.all():
+                    tables[k] = [t.compress(alive, axis=d) for t in tables[k]]
     return keep
 
 
@@ -669,11 +676,11 @@ def find_equilibria(u: UtilityProfile, box: tuple[float, float],
     bitmask per chunk of at most 64 global sets, and a point is kept where
     the AND of the firms' bitmasks is non-zero in some chunk, in blocks of
     at most ``BATCH`` points.  When the grid spans more than one block and
-    every firm's sub-grid fits in one, the levels that cannot hold a hit are
-    first dropped from each axis (exactly; see the module docstring), so
-    the AND covers only the kept levels.  A grid of more than
-    ``MAX_GRID_POINTS`` points raises ``GridTooLarge`` before anything is
-    allocated.
+    every firm's sub-grid fits in one, the bits of each global set are first
+    cleared where no hit can use them and the levels left with none dropped
+    (exactly; see the module docstring), so the AND covers the kept levels.
+    A grid of more than ``MAX_GRID_POINTS`` points raises ``GridTooLarge``
+    before anything is allocated.
 
     One call of the record kernel (``_CompiledProfile.evaluate``) gives
     exact Z, the supports and the indirect utilities of every candidate;

@@ -7,6 +7,7 @@ within the trigger, whatever the block size.
 
 import itertools
 import json
+import math
 import os
 import random
 import time
@@ -238,8 +239,8 @@ def test_narrowed_scan_matches_the_dense_scan_on_planted_markets(seed, monkeypat
     assert n in (5, 6) and levels ** n > equilibrium.BATCH
     for trigger in (EPS_EQ, step / 2):
         hits = scan_points(_CompiledProfile(planted_market(seed)[0]), axis, trigger)
-        # narrowing ran and dropped levels
-        assert kept[-1] is not None and sum(kept[-1]) < n * levels
+        # narrowing ran, and on these markets it keeps exactly the hits
+        assert kept[-1] is not None and math.prod(kept[-1]) == len(hits)
         # the dense scan: every point in one block, no narrowing
         with monkeypatch.context() as mp:
             mp.setattr(equilibrium, "BATCH", levels ** n)
@@ -303,6 +304,73 @@ def test_global_sets_in_one_uint8_chunk():
     axis = grid((1.5, 2.5), 0.5)
     assert assert_matches_oracle(u, axis, EPS_EQ)
     assert assert_matches_oracle(u, axis, 0.25)
+
+
+def loop_global_tables(scopes):
+    """``_global_tables`` one global set and firm at a time: each share's
+    row column by ``index`` in the firm's masks, each bit weight by ``|=``."""
+    globals_ = tuple(equilibrium._joint_sets(scopes))
+    rows = [[masks.index(g & omega) for omega, masks in scopes] for g in globals_]
+    chunks = []
+    for a in range(0, len(rows), 64):
+        part = rows[a:a + 64]
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if np.iinfo(t).bits >= len(part))
+        weights = [[0] * len(masks) for _omega, masks in scopes]
+        for j, columns in enumerate(part):
+            for w, c in zip(weights, columns):
+                w[c] |= 1 << j
+        chunks.append(tuple(np.array(w, dtype=dtype) for w in weights))
+    return globals_, tuple(np.array(c, dtype=np.intp) for c in zip(*rows)), tuple(chunks)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIOS)) + list(TWO_CHUNKS) + ["none"])
+def test_global_tables_match_the_loop(name):
+    if name in TWO_CHUNKS:
+        u = matrix_market(*TWO_CHUNKS[name][:2])
+    elif name == "none":
+        # no trades and no firms: one empty global set
+        u = UtilityProfile(build_network([]), {})
+    else:
+        u = load_scenario(os.path.join(SCENARIOS, name)).profile
+    scopes = [(u.firms[f].omega, u.firms[f].feasible_masks()) for f in sorted(u.firms)]
+    (globals_, shares, chunks), (want_globals, want_shares, want_chunks) = (
+        equilibrium._global_tables(scopes), loop_global_tables(scopes))
+    assert globals_ == want_globals
+    assert [len(c) for c in chunks] == [len(c) for c in want_chunks]
+    for got, want in zip([*shares, *itertools.chain(*chunks)],
+                         [*want_shares, *itertools.chain(*want_chunks)]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def tied_market(seed, sellers, buyers):
+    """An assignment market with integer values in {1, 2, 3} and zero costs:
+    every regret is an integer, so grid levels tie."""
+    rng = random.Random(f"tied:{seed}")
+    return matrix_market([[rng.choice([1, 2, 3]) for _ in range(buyers)]
+                          for _ in range(sellers)], {})
+
+
+@pytest.mark.parametrize("seed,sellers,buyers,box",
+                         [(seed, 3, 3, (0.0, 3.0)) for seed in range(4)]
+                         + [(0, 3, 4, (1.0, 3.0))])
+def test_narrowed_scan_matches_the_dense_scan_on_tied_markets(seed, sellers, buyers, box,
+                                                              monkeypatch):
+    kept = spy_narrow(monkeypatch)
+    u = tied_market(seed, sellers, buyers)
+    axis = grid(box, 1.0)
+    n, levels = u.network.n, len(axis)
+    assert levels ** n > equilibrium.BATCH
+    assert len(_CompiledProfile(u).share_bits) == (2 if buyers == 4 else 1)
+    for trigger in (EPS_EQ, 0.5):
+        hits = scan_points(_CompiledProfile(u), axis, trigger)
+        # each level keeps a tie, yet the per-set narrowing cuts the grid
+        assert kept[-1] is not None and len(hits) <= math.prod(kept[-1]) < levels ** n
+        with monkeypatch.context() as mp:
+            mp.setattr(equilibrium, "BATCH", levels ** n)
+            assert scan_points(_CompiledProfile(u), axis, trigger) == hits
+        assert hits
+    assert len(kept) == 2
 
 
 # -- grid guard ----------------------------------------------------------------
